@@ -84,13 +84,8 @@ std::vector<Program> programs() {
 codegen::SpmdOptions real_backend_options(exec::Backend backend) {
   codegen::SpmdOptions xopt;
   xopt.backend = backend;
-  if (backend == exec::Backend::Mp) {
-    xopt.mp.compute_mode = mp::ComputeMode::Sleep;
-    xopt.mp.time_scale = kTimeScale;
-  } else {
-    xopt.shm.compute_mode = shm::ComputeMode::Sleep;
-    xopt.shm.time_scale = kTimeScale;
-  }
+  xopt.runtime.compute_mode = mp::ComputeMode::Sleep;
+  xopt.runtime.time_scale = kTimeScale;
   return xopt;
 }
 
@@ -165,7 +160,7 @@ int main(int argc, char** argv) {
     std::printf("  default variant    : mp %9.6f s (%zu msgs, %zu bytes)  "
                 "shm %9.6f s (%zu barriers, %zu shared bytes)  shm/mp %.2fx\n",
                 h.wall_mp, h.pred.messages, h.pred.bytes, h.wall_shm,
-                h.shm_run.shm_stats.barriers, h.shm_run.shm_stats.shared_read_bytes,
+                h.shm_run.runtime_stats.barriers, h.shm_run.runtime_stats.shared_read_bytes,
                 h.wall_mp > 0.0 ? h.wall_mp / h.wall_shm : 0.0);
     std::printf("  model: wall %9.6f s  wall_shm %9.6f s (%zu episodes, %.0f critical shared B)\n\n",
                 h.pred.wall(params), h.pred.wall_shm(params), h.pred.barrier_episodes,
@@ -186,8 +181,8 @@ int main(int argc, char** argv) {
     w.member("predicted_best_wall_mp", mp_row.predicted_wall);
     w.member("predicted_best_wall_shm", shm_row.predicted_wall);
     // Runtime counters: exact on shm by the model contract.
-    w.member("shm_barriers", h.shm_run.shm_stats.barriers);
-    w.member("shm_shared_read_bytes", h.shm_run.shm_stats.shared_read_bytes);
+    w.member("shm_barriers", h.shm_run.runtime_stats.barriers);
+    w.member("shm_shared_read_bytes", h.shm_run.runtime_stats.shared_read_bytes);
     // Measured (machine-dependent, skipped by the differ): nested so each
     // leaf's basename is wall_seconds.
     auto wall = [&](const char* key, double v) {

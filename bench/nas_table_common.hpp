@@ -191,15 +191,11 @@ inline std::optional<RunResult> run_cell(Variant v, const Problem& pb, int nproc
   nas::DriverOptions opt;
   opt.verify = false;  // correctness is covered by tests/nas_variants_test
   opt.backend = backend;
-  if (backend == exec::Backend::Mp) {
-    // Realize modelled compute as real sleeps so rank overlap (and thus
-    // measured wall-clock speedup) is observable even on one host core.
-    opt.mp.compute_mode = mp::ComputeMode::Sleep;
-    opt.mp.time_scale = kMpTimeScale;
-  } else if (backend == exec::Backend::Shm) {
-    opt.shm.compute_mode = shm::ComputeMode::Sleep;
-    opt.shm.time_scale = kMpTimeScale;
-  }
+  // On the threaded backends, realize modelled compute as real sleeps so
+  // rank overlap (and thus measured wall-clock speedup) is observable even
+  // on one host core. The sim backend ignores these options.
+  opt.runtime.compute_mode = mp::ComputeMode::Sleep;
+  opt.runtime.time_scale = kMpTimeScale;
   obs::ScopedTimer timer("bench.run_variant");
   auto r = nas::run_variant(v, pb, nprocs, sim::Machine::sp2(), opt);
   DHPF_COUNTER("bench.cells_run");

@@ -394,7 +394,7 @@ int main(int argc, char** argv) {
       } else {
         std::printf("\n---- execution (shm: shared-memory threads) ----\n");
         std::printf("  wall %.6f s, %zu barriers, %zu shared bytes\n", r.wall_seconds,
-                    r.shm_stats.barriers, r.shm_stats.shared_read_bytes);
+                    r.runtime_stats.barriers, r.runtime_stats.shared_read_bytes);
       }
       std::printf("  instances per rank:");
       for (auto n : r.instances_per_rank) std::printf(" %zu", n);

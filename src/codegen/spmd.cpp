@@ -283,7 +283,7 @@ exec::Task exec_event(exec::Channel& p, SpmdContext& ctx, const AnchoredEvent& a
       any_traffic =
           ae.cache[static_cast<std::size_t>(q)].find(prefix) != ae.cache[static_cast<std::size_t>(q)].end();
     if (!any_traffic) co_return;
-    shm::barrier(p);
+    mp::barrier(p);
     std::size_t shared_bytes = 0;
     if (ae.ev->kind == EventKind::Fetch) {
       // Pull my needed elements from their owners' storage.
@@ -319,8 +319,8 @@ exec::Task exec_event(exec::Channel& p, SpmdContext& ctx, const AnchoredEvent& a
         shared_bytes += oit->second.size() * sizeof(double);
       }
     }
-    shm::note_shared_read(p, shared_bytes);
-    shm::barrier(p);
+    mp::note_shared_read(p, shared_bytes);
+    mp::barrier(p);
     co_return;
   }
 
@@ -596,25 +596,18 @@ SpmdResult run_spmd(const hpf::Program& prog, const cp::CpResult& cps,
     result.elapsed = engine.elapsed();
     result.stats = engine.stats();
     if (opt.record_trace) result.trace = engine.trace();
-  } else if (opt.backend == exec::Backend::Mp) {
-    // Real threads: safe because every rank touches only its own slot of
-    // ctx.stores / ctx.instances and the event caches are read-only here.
-    DHPF_TRACE_SPAN("exec.mp", trace::Kind::Phase);
-    mp::Options mpopt = opt.mp;
-    mpopt.machine = machine;
-    result.wall_seconds = mp::run(nprocs, mpopt, body, &result.mp_stats);
-    result.stats.messages = result.mp_stats.messages;
-    result.stats.bytes = result.mp_stats.bytes;
   } else {
-    // Shared memory: same real-thread safety argument as mp for compute,
-    // and the cross-rank store accesses in exec_event's shm path are
-    // bracketed by barriers and disjoint by ownership.
-    DHPF_TRACE_SPAN("exec.shm", trace::Kind::Phase);
-    shm::Options shopt = opt.shm;
-    shopt.machine = machine;
-    result.wall_seconds = shm::run(nprocs, shopt, body, &result.shm_stats);
-    result.stats.messages = result.shm_stats.messages;
-    result.stats.bytes = result.shm_stats.bytes;
+    // Real threads: safe because every rank touches only its own slot of
+    // ctx.stores / ctx.instances and the event caches are read-only here;
+    // on shm the cross-rank store accesses in exec_event's shared-memory
+    // path are bracketed by barriers and disjoint by ownership.
+    trace::Span span(opt.backend == exec::Backend::Mp ? "exec.mp" : "exec.shm",
+                     trace::Kind::Phase);
+    mp::Options ropt = opt.runtime;
+    ropt.machine = machine;
+    result.wall_seconds = mp::run(opt.backend, nprocs, ropt, body, &result.runtime_stats);
+    result.stats.messages = result.runtime_stats.messages;
+    result.stats.bytes = result.runtime_stats.bytes;
   }
   result.instances_per_rank = ctx.instances;
 

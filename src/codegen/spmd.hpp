@@ -22,7 +22,6 @@
 #include "cp/select.hpp"
 #include "hpf/ir.hpp"
 #include "mp/runtime.hpp"
-#include "shm/runtime.hpp"
 #include "sim/engine.hpp"
 #include "sim/machine.hpp"
 
@@ -39,8 +38,7 @@ Store interpret_serial(const hpf::Program& prog);
 
 struct SpmdOptions {
   exec::Backend backend = exec::Backend::Sim;
-  mp::Options mp;                    ///< mp backend tuning (compute, timeouts)
-  shm::Options shm;                  ///< shm backend tuning (compute, timeouts)
+  mp::Options runtime;               ///< mp/shm runtime tuning (compute, timeouts)
   bool record_trace = false;         ///< sim backend only
   double flops_per_instance = 10.0;  ///< cost model per statement instance
   bool verify = true;                ///< compare against interpret_serial
@@ -57,9 +55,8 @@ struct SpmdResult {
   double wall_seconds = 0.0;  ///< real (monotonic-clock) seconds of the run
   sim::Stats stats;           ///< messages/bytes filled on every backend
   sim::TraceLog trace;
-  mp::Stats mp_stats;     ///< populated on the mp backend
-  shm::Stats shm_stats;   ///< populated on the shm backend
-  double max_err = -1.0;  ///< -1 when not verified
+  mp::Stats runtime_stats;  ///< populated on the mp and shm backends
+  double max_err = -1.0;    ///< -1 when not verified
   /// Owner copies of the distributed arrays (with collect_result).
   Store gathered;
   /// Assignment instances executed per rank (replication / load metric).

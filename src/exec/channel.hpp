@@ -9,17 +9,16 @@
 //     a blocking receive suspends the rank's coroutine and the engine
 //     resumes it when the matching message exists. compute() advances the
 //     rank's virtual clock by the Machine cost model.
-//   * src/mp — the real multi-threaded message-passing runtime. One OS
-//     thread per rank; a blocking receive parks the thread on the rank's
-//     mailbox condition variable *inside the awaiter* (await_ready blocks
-//     and then reports ready), so the coroutine never suspends. compute()
-//     is a no-op by default (timings come from a monotonic clock), or an
-//     optional spin/sleep emulation of the cost model.
-//   * src/shm — the shared-memory threaded runtime. Same real-thread
-//     execution model as mp (mailboxes included, so collectives and
-//     message-passing node programs run unchanged), plus phase barriers
-//     and direct shared reads for codegen's barrier-synchronized data
-//     movement (no message copies).
+//   * src/mp — the real multi-threaded runtime. One OS thread per rank; a
+//     blocking receive parks the thread on the rank's mailbox condition
+//     variable *inside the awaiter* (await_ready blocks and then reports
+//     ready), so the coroutine never suspends. compute() is a no-op by
+//     default (timings come from a monotonic clock), or an optional
+//     spin/sleep emulation of the cost model. It runs in one of two modes:
+//     mp (message passing) or shm, which adds phase barriers and direct
+//     shared reads for codegen's barrier-synchronized data movement (no
+//     message copies); collectives and message-passing node programs run
+//     unchanged in either.
 //
 // The receive protocol is therefore expressed as three virtuals behind a
 // single awaiter type: recv_ready / recv_suspend / recv_complete. Backends
@@ -40,8 +39,8 @@ namespace dhpf::exec {
 /// Which runtime executes the node programs (see the module comment).
 enum class Backend {
   Sim,  ///< deterministic virtual-time simulator (src/sim)
-  Mp,   ///< real multi-threaded message-passing runtime (src/mp)
-  Shm,  ///< real threads over one shared address space (src/shm)
+  Mp,   ///< the threaded runtime (src/mp), message passing
+  Shm,  ///< the threaded runtime (src/mp), barrier-fenced shared reads
 };
 
 /// Switch-based so a newly added backend without a name is a compile error

@@ -293,14 +293,14 @@ DiffResult run_differential(const std::string& source, std::uint64_t seed,
         if (opt.check_model) {
           const model::Prediction pred =
               model::predict(prog, cps, plan, machine, xopt.flops_per_instance);
-          if (pred.barrier_episodes != shm_run.shm_stats.barriers ||
+          if (pred.barrier_episodes != shm_run.runtime_stats.barriers ||
               static_cast<std::size_t>(pred.bytes) !=
-                  shm_run.shm_stats.shared_read_bytes) {
+                  shm_run.runtime_stats.shared_read_bytes) {
             std::ostringstream os;
             os << "model barriers=" << pred.barrier_episodes
                << " shared bytes=" << pred.bytes
-               << " vs shm barriers=" << shm_run.shm_stats.barriers
-               << " shared bytes=" << shm_run.shm_stats.shared_read_bytes;
+               << " vs shm barriers=" << shm_run.runtime_stats.barriers
+               << " shared bytes=" << shm_run.runtime_stats.shared_read_bytes;
             return fail(FailKind::ModelCommMismatch, variant.name + " [shm]", shape,
                         os.str());
           }

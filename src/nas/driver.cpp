@@ -59,23 +59,16 @@ RunResult run_variant(Variant v, const Problem& pb, int nprocs, const sim::Machi
     result.elapsed = engine.elapsed();
     result.stats = engine.stats();
     if (opt.record_trace) result.trace = engine.trace();
-  } else if (opt.backend == exec::Backend::Mp) {
+  } else {
     // Real execution: ranks race on the gather field, but every rank writes
     // only its own owned box (disjoint), so no synchronization is needed.
-    mp::Options mpopt = opt.mp;
-    mpopt.machine = machine;
-    result.wall_seconds = mp::run(nprocs, mpopt, body, &result.mp_stats);
-    result.stats.messages = result.mp_stats.messages;
-    result.stats.bytes = result.mp_stats.bytes;
-  } else {
     // The NAS node programs are message-passing codes; on shm they run
-    // unchanged over the mailbox path (the gather-field argument above
-    // applies verbatim — owned boxes are disjoint).
-    shm::Options shopt = opt.shm;
-    shopt.machine = machine;
-    result.wall_seconds = shm::run(nprocs, shopt, body, &result.shm_stats);
-    result.stats.messages = result.shm_stats.messages;
-    result.stats.bytes = result.shm_stats.bytes;
+    // unchanged over the mailbox path.
+    mp::Options ropt = opt.runtime;
+    ropt.machine = machine;
+    result.wall_seconds = mp::run(opt.backend, nprocs, ropt, body, &result.runtime_stats);
+    result.stats.messages = result.runtime_stats.messages;
+    result.stats.bytes = result.runtime_stats.bytes;
   }
 
   if (opt.verify) {

@@ -10,7 +10,6 @@
 #include <string>
 
 #include "mp/runtime.hpp"
-#include "shm/runtime.hpp"
 #include "nas/dhpf_style.hpp"
 #include "nas/problem.hpp"
 #include "sim/engine.hpp"
@@ -28,8 +27,7 @@ struct RunResult {
   double wall_seconds = 0.0;  ///< real (monotonic-clock) seconds of the run
   sim::Stats stats;           ///< messages/bytes filled on every backend
   sim::TraceLog trace;        ///< populated when record_trace was requested
-  mp::Stats mp_stats;         ///< populated on the mp backend
-  shm::Stats shm_stats;       ///< populated on the shm backend
+  mp::Stats runtime_stats;    ///< populated on the mp and shm backends
   double max_err = -1.0;      ///< vs serial reference; -1 when not verified
   double norm = 0.0;          ///< allreduced interior RMS of u (collective)
   bool verified = false;
@@ -37,8 +35,7 @@ struct RunResult {
 
 struct DriverOptions {
   exec::Backend backend = exec::Backend::Sim;
-  mp::Options mp;            ///< mp backend tuning (compute mode, timeouts)
-  shm::Options shm;          ///< shm backend tuning (compute mode, timeouts)
+  mp::Options runtime;       ///< mp/shm runtime tuning (compute mode, timeouts)
   DhpfOptions dhpf;          ///< options for the dHPF-style variant
   bool record_trace = false; ///< sim backend only
   bool verify = true;        ///< run the serial reference and compare fields

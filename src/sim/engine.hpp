@@ -13,8 +13,9 @@
 // Deadlock (all unfinished ranks blocked) raises dhpf::Error with a
 // description of every blocked rank.
 //
-// The real-hardware counterpart of this backend is mp::Runtime (src/mp);
-// node programs written against exec::Channel run unmodified on either.
+// The real-hardware counterpart of this backend is the threaded runtime,
+// mp::run in its mp and shm modes; node programs written against
+// exec::Channel run unmodified on any of them.
 #pragma once
 
 #include <coroutine>

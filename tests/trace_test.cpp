@@ -3,13 +3,15 @@
 // deterministic merged drain, the Chrome-trace / self-time-profile
 // exporters, and the end-to-end contracts the CLI relies on — profile pass
 // totals agreeing with the obs per-pass timings, one trace holding both
-// compile-time and per-rank mp runtime spans, and the deadlock watchdog
-// dumping every rank's recent history.
+// compile-time and per-rank mp runtime spans, mp and shm runs in one
+// process keeping their own span and metric names, and the deadlock
+// watchdog dumping every rank's recent history.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
 #include <fstream>
+#include <set>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -18,8 +20,10 @@
 #include "codegen/driver.hpp"
 #include "codegen/spmd.hpp"
 #include "exec/channel.hpp"
+#include "exec/collectives.hpp"
 #include "exec/task.hpp"
 #include "mp/runtime.hpp"
+#include "support/metrics.hpp"
 #include "trace/export.hpp"
 #include "trace/trace.hpp"
 
@@ -390,13 +394,64 @@ TEST_F(TraceTest, OneTraceHoldsCompileAndPerRankRuntimeSpans) {
   EXPECT_NE(doc.find("\"cat\":\"send\""), std::string::npos);
 }
 
+TEST_F(TraceTest, MpAndShmRunsInOneProcessKeepTheirOwnNames) {
+  // Both modes run through one runtime. Each run's obs keys and rank spans
+  // must carry its own prefix, and none of the other's, even after the
+  // other mode ran first in this process: a span site that cached the
+  // first name it saw, or a metric that lost its mode, fails here (and
+  // would read as an absent source in the benchmark's per-layer ledger).
+  for (exec::Backend mode : {exec::Backend::Mp, exec::Backend::Shm}) {
+    const bool shm = mode == exec::Backend::Shm;
+    const std::string own = exec::to_string(mode);
+    const std::string other = shm ? "mp." : "shm.";
+    SCOPED_TRACE(own);
+    trace::Recorder::global().reset();
+    obs::Registry::global().reset();
+    const obs::MetricsSnapshot before = obs::Registry::global().snapshot();
+    mp::run(mode, 2, [&](Channel& p) -> Task {
+      if (p.rank() == 0) {
+        p.send(1, 1, {1.0});
+      } else {
+        (void)co_await p.recv(0, 1);
+      }
+      if (shm) {
+        mp::barrier(p);
+        mp::note_shared_read(p, 8);
+      }
+      // No rank exits before every rank has labelled its ring: a thread
+      // that registers after a peer exited would recycle the peer's ring.
+      co_await exec::barrier(p);
+      co_return;
+    });
+
+    const obs::MetricsSnapshot delta = obs::Registry::global().snapshot().diff(before);
+    std::vector<std::string> keys = {own + ".messages", own + ".bytes",
+                                     own + ".rank0.wait_seconds", own + ".rank1.wait_seconds"};
+    if (shm) keys.insert(keys.end(), {"shm.barriers", "shm.shared_bytes"});
+    for (const std::string& k : keys)
+      EXPECT_TRUE(delta.counters.count(k) + delta.gauges.count(k) > 0) << "missing " << k;
+    for (const auto& [k, v] : delta.counters) EXPECT_NE(k.rfind(other, 0), 0u) << k;
+    for (const auto& [k, v] : delta.gauges) EXPECT_NE(k.rfind(other, 0), 0u) << k;
+
+    const trace::TraceDump dump = trace::Recorder::global().drain();
+    std::set<std::string> spans;
+    for (const auto& td : dump.threads)
+      if (td.label.rfind("rank", 0) == 0)
+        for (const auto& e : td.events) spans.insert(dump.name_of(e.name));
+    EXPECT_EQ(spans.count(own + ".send"), 1u);
+    EXPECT_EQ(spans.count(own + ".recv"), 1u);
+    EXPECT_EQ(spans.count("shm.barrier"), shm ? 1u : 0u);
+    for (const std::string& name : spans) EXPECT_NE(name.rfind(other, 0), 0u) << name;
+  }
+}
+
 TEST_F(TraceTest, WatchdogDumpsEveryRanksFlightRecorderOnDeadlock) {
   mp::Options opt;
   opt.recv_timeout_s = 0.0;  // only the watchdog may intervene
   opt.watchdog_period_s = 0.02;
   ::testing::internal::CaptureStderr();
   try {
-    mp::run(2, opt, [&](Channel& p) -> Task {
+    mp::run(exec::Backend::Mp, 2, opt, [&](Channel& p) -> Task {
       // Both ranks wait for a message nobody sends.
       co_await p.recv(1 - p.rank(), 99);
       co_return;
@@ -423,7 +478,7 @@ TEST_F(TraceTest, WatchdogDumpStaysSilentWhenTracingIsOff) {
   opt.recv_timeout_s = 0.0;
   opt.watchdog_period_s = 0.02;
   ::testing::internal::CaptureStderr();
-  EXPECT_THROW(mp::run(2, opt,
+  EXPECT_THROW(mp::run(exec::Backend::Mp, 2, opt,
                        [&](Channel& p) -> Task {
                          co_await p.recv(1 - p.rank(), 99);
                          co_return;
