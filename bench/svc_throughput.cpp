@@ -2,7 +2,7 @@
 // load, driven in-process through svc::Service so the numbers measure the
 // pipeline + pool + cache, not socket syscalls.
 //
-// Three phases:
+// Four phases:
 //   * scaling  — a fuzz-generated program set compiled cold (cache off) at
 //     1/2/4/8 workers: compiles/sec and p50/p99 request latency per point;
 //   * warm     — the tuner's 48-variant flag cross product on one program,
@@ -10,7 +10,14 @@
 //     hits (hit rate 0.5 over the run) — the dhpfc --tune scenario a
 //     long-lived daemon amortizes;
 //   * eviction — the same 48 variants through a capacity-8 cache on one
-//     worker: exact global LRU makes evictions/entries deterministic.
+//     worker: exact global LRU makes evictions/entries deterministic;
+//   * batched pattern — generator programs 1..300 from 4 client threads on
+//     4 workers, sent the way `dhpfc --server --verify --model-report`
+//     sends them (one compile+verify+model batch per program) and as
+//     compile-only batches, each pass on a fresh Service with cold set
+//     caches. The verify and model requests join the compile's fill, so
+//     the batched passes should take about as long as the compile-only
+//     ones; the wall-time ratio of their medians goes to stdout.
 //
 // The --json artifact is diffed against bench/baselines/svc_throughput.json
 // by perf-smoke CI. Request/hit/miss/eviction counts are deterministic and
@@ -19,6 +26,7 @@
 // count, derived speedups) go to stdout or into string fields, which the
 // diff ignores.
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <string>
@@ -27,6 +35,7 @@
 
 #include "compiler_bench_common.hpp"
 #include "fuzz/generator.hpp"
+#include "iset/intern.hpp"
 #include "svc/service.hpp"
 #include "tune/tune.hpp"
 
@@ -133,6 +142,62 @@ PassResult run_pass(svc::Service& service, const std::vector<svc::Request>& reqs
   return p;
 }
 
+constexpr int kPatternPrograms = 300;  // generator seeds 1..300
+constexpr int kPatternClients = 4;
+constexpr int kPatternReps = 3;
+
+struct PatternPass {
+  std::size_t requests = 0, ok = 0;
+  std::uint64_t misses = 0, hits_or_coalesced = 0;
+  double wall = 0.0;
+};
+
+/// One pass of the batched-pattern phase on a fresh 4-worker Service: each
+/// client thread sends its share of the programs, one batch per program,
+/// waiting for each batch's answers before sending the next.
+PatternPass run_pattern(const std::vector<std::string>& sources, bool batched) {
+  iset::memo::clear_caches();
+  svc::ServiceOptions opt;
+  opt.workers = 4;
+  svc::Service service(opt);
+  const std::vector<svc::Kind> kinds =
+      batched ? std::vector<svc::Kind>{svc::Kind::Compile, svc::Kind::Verify, svc::Kind::Model}
+              : std::vector<svc::Kind>{svc::Kind::Compile};
+  std::atomic<std::size_t> requests{0}, ok{0};
+  const double t0 = now_seconds();
+  std::vector<std::thread> clients;
+  for (int c = 0; c < kPatternClients; ++c)
+    clients.emplace_back([&, c] {
+      for (std::size_t i = static_cast<std::size_t>(c); i < sources.size(); i += kPatternClients) {
+        std::vector<svc::Request> batch;
+        for (svc::Kind kind : kinds) {
+          svc::Request req;
+          req.id = batch.size() + 1;
+          req.kind = kind;
+          req.source = sources[i];
+          batch.push_back(std::move(req));
+        }
+        const std::vector<svc::Response> rs = service.handle_batch(batch);
+        requests += rs.size();
+        ok += count_ok(rs);
+      }
+    });
+  for (std::thread& t : clients) t.join();
+  PatternPass p;
+  p.wall = now_seconds() - t0;
+  p.requests = requests.load();
+  p.ok = ok.load();
+  const svc::Service::Stats stats = service.stats();
+  p.misses = stats.cache.misses;
+  p.hits_or_coalesced = stats.cache.hits + stats.cache.coalesced;
+  return p;
+}
+
+double median_of(std::vector<double> v) {
+  std::sort(v.begin(), v.end());
+  return v.empty() ? 0.0 : v[v.size() / 2];
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -201,6 +266,30 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(estats.cache.evictions),
               estats.cache.entries);
 
+  // --- batched pattern: compile+verify+model batches vs compile-only ----
+  std::vector<std::string> pattern_sources;
+  for (int seed = 1; seed <= kPatternPrograms; ++seed)
+    pattern_sources.push_back(fuzz::generate(static_cast<std::uint64_t>(seed)).source);
+  PatternPass compile_only, batched;
+  std::vector<double> compile_only_walls, batched_walls;
+  for (int rep = 0; rep < kPatternReps; ++rep) {  // interleaved, so drift hits both
+    compile_only = run_pattern(pattern_sources, /*batched=*/false);
+    batched = run_pattern(pattern_sources, /*batched=*/true);
+    compile_only_walls.push_back(compile_only.wall);
+    batched_walls.push_back(batched.wall);
+  }
+  compile_only.wall = median_of(compile_only_walls);
+  batched.wall = median_of(batched_walls);
+  std::printf("\n  batched pattern (%d programs, %d clients, 4 workers, median of %d):\n",
+              kPatternPrograms, kPatternClients, kPatternReps);
+  std::printf("    compile-only: %zu requests in %.3fs\n", compile_only.requests,
+              compile_only.wall);
+  std::printf("    batched: %zu requests in %.3fs, %llu misses, %llu hits or coalesced\n",
+              batched.requests, batched.wall, static_cast<unsigned long long>(batched.misses),
+              static_cast<unsigned long long>(batched.hits_or_coalesced));
+  std::printf("    batched / compile-only wall: %.2fx\n",
+              batched.wall / std::max(compile_only.wall, 1e-9));
+
   if (!json_path.empty()) {
     json::Writer w;
     w.begin_object();
@@ -254,6 +343,22 @@ int main(int argc, char** argv) {
     w.member("ok", epass.ok);
     w.member("evictions", estats.cache.evictions);
     w.member("entries", estats.cache.entries);
+    w.end_object();
+    w.key("batched_pattern");
+    w.begin_object();
+    w.member("programs", kPatternPrograms);
+    w.member("clients", kPatternClients);
+    w.member("workers", 4);
+    for (const PatternPass* p : {&compile_only, &batched}) {
+      w.key(p == &batched ? "batched" : "compile_only");
+      w.begin_object();
+      w.member("requests", p->requests);
+      w.member("ok", p->ok);
+      w.member("misses", p->misses);
+      w.member("hits_or_coalesced", p->hits_or_coalesced);
+      w.member("wall_seconds", p->wall);
+      w.end_object();
+    }
     w.end_object();
     bench::provenance_json(w);
     w.key("metrics");

@@ -150,9 +150,15 @@ speedup = wc["cold"]["wall_seconds"] / max(wc["warm"]["wall_seconds"], 1e-12)
 assert speedup >= 10.0, f"warm speedup only {speedup:.1f}x"
 ev = doc["eviction"]
 assert ev["evictions"] == 40 and ev["entries"] == 8, ev
+# One fill per program; a batch's verify and model requests hit or join it.
+bp = doc["batched_pattern"]
+for name, joined in (("compile_only", 0), ("batched", 600)):
+    p = bp[name]
+    assert p["ok"] == p["requests"], (name, p)
+    assert p["misses"] == 300 and p["hits_or_coalesced"] == joined, (name, p)
 assert "git" in doc["build"], "missing build provenance"
 EOF
-echo "  ok: svc_throughput warm-cache and eviction shape"
+echo "  ok: svc_throughput warm-cache, eviction and batched-pattern shape"
 
 echo "bench_smoke: iset set-algebra microbench"
 "$bench_dir/iset_microbench" --json "$out_dir/iset_microbench.json" > /dev/null

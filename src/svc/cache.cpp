@@ -1,6 +1,7 @@
 #include "svc/cache.hpp"
 
 #include <string_view>
+#include <vector>
 
 namespace dhpf::svc {
 
@@ -37,13 +38,31 @@ CacheKey content_hash(std::initializer_list<std::string_view> parts) {
   return CacheKey{hi, lo};
 }
 
-/// In-flight fill record shared by the filler and coalesced waiters.
+/// In-flight fill record shared by the filler and the requests that
+/// coalesced onto it.
 struct Pending {
   std::mutex mu;
-  std::condition_variable cv;
   bool done = false;
   CachedResultPtr value;  ///< null after an abandoned fill
+  std::vector<OnFill> waiters;
 };
+
+namespace {
+
+/// Mark `pending` done with `value`, then run its continuations on the
+/// calling thread, outside the lock (a continuation may probe again).
+void settle(Pending& pending, CachedResultPtr value) {
+  std::vector<OnFill> waiters;
+  {
+    std::lock_guard<std::mutex> lock(pending.mu);
+    pending.done = true;
+    pending.value = value;
+    waiters.swap(pending.waiters);
+  }
+  for (OnFill& then : waiters) then(value);
+}
+
+}  // namespace
 
 ResultCache::ResultCache(std::size_t capacity) : capacity_(capacity) {}
 
@@ -98,13 +117,8 @@ void ResultCache::fill(const CacheKey& key, CachedResultPtr value) {
       bytes_.fetch_add(value->bytes(), std::memory_order_relaxed);
     }
   }
-  if (pending) {
-    std::lock_guard<std::mutex> lock(pending->mu);
-    pending->done = true;
-    pending->value = std::move(value);
-    pending->cv.notify_all();
-  }
   evict_overflow();
+  if (pending) settle(*pending, std::move(value));
 }
 
 void ResultCache::abandon(const CacheKey& key) {
@@ -119,17 +133,20 @@ void ResultCache::abandon(const CacheKey& key) {
       sh.inflight.erase(in);
     }
   }
-  if (pending) {
-    std::lock_guard<std::mutex> lock(pending->mu);
-    pending->done = true;
-    pending->cv.notify_all();
-  }
+  if (pending) settle(*pending, nullptr);
 }
 
-CachedResultPtr ResultCache::wait(const std::shared_ptr<Pending>& pending) {
-  std::unique_lock<std::mutex> lock(pending->mu);
-  pending->cv.wait(lock, [&] { return pending->done; });
-  return pending->value;
+void ResultCache::on_fill(const std::shared_ptr<Pending>& pending, OnFill then) {
+  CachedResultPtr value;
+  {
+    std::lock_guard<std::mutex> lock(pending->mu);
+    if (!pending->done) {
+      pending->waiters.push_back(std::move(then));
+      return;
+    }
+    value = pending->value;
+  }
+  then(std::move(value));
 }
 
 void ResultCache::evict_overflow() {

@@ -8,11 +8,13 @@
 // holding a second copy of the program text.
 //
 // Coalescing: the first requester of a missing key receives a fill ticket
-// and runs the compile; concurrent requesters of the same key block on the
-// ticket's pending entry and receive the same immutable value — N identical
-// requests in flight cost exactly one compile. A failed fill (filler threw
-// past the normal error path) wakes waiters with a null value; they re-probe
-// and one of them becomes the new filler.
+// and runs the compile; a concurrent requester of the same key registers a
+// continuation on the ticket's pending record (on_fill) and returns at
+// once. fill() publishes the value and runs every registered continuation
+// on the filler's thread, so N identical requests in flight cost exactly
+// one compile and no thread waits for a fill. A filler that cannot produce
+// a value calls abandon(), which runs the continuations with null; their
+// owners probe again and one of them becomes the new filler.
 //
 // Sharding: keys map to one of kShards independent (mutex, map, LRU list)
 // shards, so concurrent probes of different keys rarely contend. Capacity
@@ -29,8 +31,8 @@
 #pragma once
 
 #include <atomic>
-#include <condition_variable>
 #include <cstdint>
+#include <functional>
 #include <list>
 #include <memory>
 #include <mutex>
@@ -77,6 +79,10 @@ struct CachedResult {
 
 using CachedResultPtr = std::shared_ptr<const CachedResult>;
 
+/// A coalesced request's continuation: receives the filled value, or null
+/// when the filler abandoned the key. Must not throw.
+using OnFill = std::function<void(CachedResultPtr)>;
+
 class ResultCache {
  public:
   static constexpr std::size_t kShards = 16;
@@ -89,25 +95,29 @@ class ResultCache {
   struct Probe {
     CachedResultPtr hit;  ///< non-null: cache hit, value is the result
     bool must_fill = false;  ///< true: caller owns the fill (call fill/abandon)
-    /// Internal pending handle for must_fill / wait cases.
+    /// The in-flight fill record: the caller's own when must_fill, else the
+    /// fill to join with on_fill(). Null on a hit and when the cache is off.
     std::shared_ptr<struct Pending> pending;
   };
 
   /// Look up `key`. Hit: returns the value (bumps LRU). Miss with no one
   /// filling: registers the caller as the filler (must_fill). Miss with a
-  /// fill in flight: returns a pending handle to wait() on.
+  /// fill in flight: returns that fill's pending record.
   Probe probe(const CacheKey& key);
 
   /// Publish the filler's result: inserts into the LRU (evicting beyond
-  /// capacity) and wakes every coalesced waiter with the value.
+  /// capacity), then runs every continuation registered on the key's
+  /// pending record, on the calling thread, with the value.
   void fill(const CacheKey& key, CachedResultPtr value);
 
-  /// Filler died without a result: wake waiters empty-handed (they re-probe).
+  /// The filler has no result: runs the registered continuations with null
+  /// (their owners probe again) and stores nothing.
   void abandon(const CacheKey& key);
 
-  /// Block until the in-flight fill for this pending handle completes.
-  /// Returns null if the filler abandoned (caller should re-probe).
-  static CachedResultPtr wait(const std::shared_ptr<struct Pending>& pending);
+  /// Run `then` with the value of the fill `pending` tracks: at once on the
+  /// calling thread if that fill has already been published or abandoned,
+  /// otherwise later, on the filler's thread, inside fill() or abandon().
+  static void on_fill(const std::shared_ptr<struct Pending>& pending, OnFill then);
 
   struct Stats {
     std::uint64_t hits = 0;       ///< probe returned a resident value

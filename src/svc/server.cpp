@@ -11,6 +11,7 @@
 #include <cerrno>
 #include <condition_variable>
 #include <cstring>
+#include <deque>
 #include <list>
 #include <memory>
 #include <mutex>
@@ -19,6 +20,7 @@
 #include <utility>
 
 #include "support/diagnostics.hpp"
+#include "trace/trace.hpp"
 
 namespace dhpf::svc {
 
@@ -48,6 +50,62 @@ int make_listener(const std::string& path) {
   return fd;
 }
 
+/// Unwritten response bytes one connection may hold before its reader
+/// stops reading requests: the bound on what a client that never reads
+/// costs the daemon (plus the answers to requests already read).
+constexpr std::size_t kMaxUnwrittenBytes = kMaxFrameBytes;
+
+/// One connection's responses on their way out. Whichever thread answers a
+/// request queues the encoded response here (answer); the connection's
+/// writer thread is the only one that writes to the socket.
+struct Outbox {
+  std::mutex mu;
+  std::condition_variable cv;  ///< signalled on every queue and dequeue
+  std::deque<std::string> payloads;
+  std::size_t bytes = 0;    ///< payload bytes queued or being written
+  std::size_t pending = 0;  ///< requests read, response not yet queued
+  bool closing = false;     ///< the reader has stopped: no more requests
+
+  void expect_answer() {
+    std::lock_guard<std::mutex> lock(mu);
+    ++pending;
+  }
+
+  void answer(std::string payload) {
+    std::lock_guard<std::mutex> lock(mu);
+    bytes += payload.size();
+    payloads.push_back(std::move(payload));
+    --pending;
+    cv.notify_all();
+  }
+
+  /// Write queued payloads in order until the reader has stopped and every
+  /// request's response is out. After a failed write (the peer
+  /// went away) the rest is dropped, still in order, so the reader's
+  /// back-pressure wait always ends.
+  void write_loop(int fd) {
+    bool broken = false;
+    std::unique_lock<std::mutex> lock(mu);
+    for (;;) {
+      cv.wait(lock, [&] { return !payloads.empty() || (closing && pending == 0); });
+      if (payloads.empty()) return;
+      std::string payload = std::move(payloads.front());
+      payloads.pop_front();
+      lock.unlock();
+      if (!broken) {
+        try {
+          write_frame(fd, payload);
+        } catch (const dhpf::Error&) {
+          broken = true;
+        }
+      }
+      lock.lock();
+      bytes -= payload.size();
+      cv.notify_all();
+    }
+  }
+};
+
 }  // namespace
 
 struct Server::Impl {
@@ -59,7 +117,7 @@ struct Server::Impl {
   int listen_fd = -1;
   std::thread accept_thread;
 
-  std::mutex mu;  ///< guards conns (fds + done flags) and stopped
+  std::mutex mu;  ///< guards conns (fds + done flags), stopped and accepted
   struct Conn {
     int fd = -1;      ///< -1 once the serve thread has closed it
     bool done = false; ///< serve thread finished (fd closed); safe to join
@@ -69,9 +127,10 @@ struct Server::Impl {
   // addresses must survive insertion and reaping of other entries.
   std::list<Conn> conns;
   bool stopped = false;
+  std::uint64_t accepted = 0;  ///< connections so far; names trace rings
 
   void accept_loop();
-  void serve_connection(Conn& conn);
+  void serve_connection(Conn& conn, std::uint64_t index);
 };
 
 void Server::Impl::accept_loop() {
@@ -99,27 +158,29 @@ void Server::Impl::accept_loop() {
     conns.emplace_back();
     Conn& conn = conns.back();
     conn.fd = fd;
-    conn.thread = std::thread([this, &conn] { serve_connection(conn); });
+    conn.thread =
+        std::thread([this, &conn, index = accepted++] { serve_connection(conn, index); });
   }
 }
 
-void Server::Impl::serve_connection(Conn& conn) {
+/// The connection's reader: decode each request frame and submit it. Cache
+/// hits are answered on this thread (inside submit), fills on workers; every
+/// answer goes to the connection's Outbox, which a writer thread drains.
+void Server::Impl::serve_connection(Conn& conn, std::uint64_t index) {
   const int fd = conn.fd;
-  // Responses are written by whichever worker finishes the request, so the
-  // write side is serialized; in-flight completions are counted so the
-  // reader can't outlive a pending callback's write.
-  struct Wire {
-    std::mutex mu;
-    std::condition_variable cv;
-    int fd = -1;
-    std::size_t inflight = 0;
-    bool broken = false;
-  };
-  auto wire = std::make_shared<Wire>();
-  wire->fd = fd;
+  trace::Recorder& rec = trace::Recorder::global();
+  if (rec.enabled()) rec.set_thread_label("svc-conn" + std::to_string(index));
+  auto out = std::make_shared<Outbox>();
+  std::thread writer([fd, out] { out->write_loop(fd); });
 
   std::string payload;
   for (;;) {
+    {
+      // Back-pressure: past the cap, read nothing until the writer drains,
+      // so a client that never reads stalls only its own connection.
+      std::unique_lock<std::mutex> lock(out->mu);
+      out->cv.wait(lock, [&] { return out->bytes < kMaxUnwrittenBytes; });
+    }
     bool got = false;
     try {
       got = read_frame(fd, payload);
@@ -128,6 +189,7 @@ void Server::Impl::serve_connection(Conn& conn) {
     }
     if (!got) break;  // clean EOF
 
+    out->expect_answer();
     Request req;
     std::string error;
     if (!Request::from_json(payload, req, &error)) {
@@ -135,41 +197,20 @@ void Server::Impl::serve_connection(Conn& conn) {
       resp.ok = false;
       resp.code = ErrorCode::BadRequest;
       resp.error = error;
-      std::lock_guard<std::mutex> lock(wire->mu);
-      if (!wire->broken) {
-        try {
-          write_frame(fd, resp.to_json());
-        } catch (const dhpf::Error&) {
-          wire->broken = true;
-        }
-      }
+      out->answer(resp.to_json());
       continue;
     }
-
-    {
-      std::lock_guard<std::mutex> lock(wire->mu);
-      ++wire->inflight;
-    }
-    service.submit(std::move(req), [wire](Response resp) {
-      std::lock_guard<std::mutex> lock(wire->mu);
-      if (!wire->broken) {
-        try {
-          write_frame(wire->fd, resp.to_json());
-        } catch (const dhpf::Error&) {
-          wire->broken = true;  // peer went away; keep draining silently
-        }
-      }
-      --wire->inflight;
-      wire->cv.notify_all();
-    });
+    service.submit(std::move(req), [out](Response resp) { out->answer(resp.to_json()); });
   }
 
-  // Flush: wait for every accepted request's response to be written (or
-  // dropped on a broken pipe) before closing the descriptor.
+  // Flush: the writer exits once every accepted request's response is
+  // written (or dropped on a broken pipe).
   {
-    std::unique_lock<std::mutex> lock(wire->mu);
-    wire->cv.wait(lock, [&] { return wire->inflight == 0; });
+    std::lock_guard<std::mutex> lock(out->mu);
+    out->closing = true;
+    out->cv.notify_all();
   }
+  writer.join();
   // Close and retire the entry under impl->mu: once fd is -1, stop() knows
   // the descriptor is gone and will not shutdown() a recycled fd number.
   std::lock_guard<std::mutex> lock(mu);

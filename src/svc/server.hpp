@@ -2,16 +2,30 @@
 //
 // Transport: SOCK_STREAM over a Unix-domain socket. Each connection carries
 // a sequence of length-prefixed JSON request frames (request.hpp); the
-// server answers with response frames *as requests complete* — responses to
-// one connection may arrive out of request order (they are executed by a
-// pool of workers), so clients correlate by the echoed request id. A frame
+// server answers with response frames *as requests complete* — a cache hit
+// is answered while later requests are still being read, a fill when its
+// worker finishes — so responses to one connection may arrive out of
+// request order, and clients correlate by the echoed request id. A frame
 // that fails to decode gets a BadRequest response with id 0 (the id, if
 // any, was part of what failed to decode).
+//
+// Threads per connection: a reader decodes frames and submits them to the
+// Service (answering hits itself, inside submit), and a writer drains the
+// connection's queue of encoded responses onto the socket. Workers and the
+// reader only queue; the writer alone writes, so a client that is slow to
+// read blocks its own writer and nothing else. Back-pressure: once a
+// connection holds kMaxFrameBytes (64 MiB) of unwritten responses, its
+// reader stops reading until the writer drains below that. A client must
+// therefore start reading before it has more unread responses than that
+// cap outstanding, or it deadlocks against itself (Client::batch writes a
+// whole batch first, so a batch's responses must fit under the cap).
 //
 // Shutdown: stop() (or SIGTERM in dhpfd) drains gracefully — the service
 // stops accepting (new requests answer ErrorCode::Shutdown), queued
 // requests finish and their responses flush, then connections and the
-// listener close. The socket file is unlinked on stop.
+// listener close. The socket file is unlinked on stop. Flushing waits for
+// every client to read its responses, so a client that stopped reading
+// must close its connection for stop() to return.
 #pragma once
 
 #include <memory>

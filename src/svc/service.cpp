@@ -4,6 +4,7 @@
 #include <condition_variable>
 #include <exception>
 #include <mutex>
+#include <optional>
 #include <sstream>
 #include <thread>
 #include <utility>
@@ -32,11 +33,12 @@ int resolve_workers(int requested) {
   return n < 1 ? 1 : (n > 8 ? 8 : n);
 }
 
-/// Run the pipeline for one compile/verify/model request and package every
-/// product into one cache value. Failures are packaged too (they are as
-/// deterministic as successes, so caching them is sound and keeps a bad
-/// program from re-paying compile cost per retry).
-CachedResultPtr run_pipeline(const Request& req) {
+/// Run one compile/verify/model, tune or lint request and package every
+/// product into one cache value. The pipeline produces all three of
+/// compile, verify and model in one run. Failures are packaged too (they
+/// are as deterministic as successes, so caching them is sound and keeps a
+/// bad program from re-paying compile cost per retry).
+CachedResultPtr run_uncached(const Request& req) {
   auto out = std::make_shared<CachedResult>();
   bool parsed = false;
   try {
@@ -54,82 +56,27 @@ CachedResultPtr run_pipeline(const Request& req) {
       }
       prog.grids().front()->extents = req.grid;
     }
-    const codegen::CompileResult compiled =
-        codegen::compile(prog, req.flags.sopt, req.flags.copt);
-    out->listing = compiled.listing;
-    out->report_json = compiled.report.to_json();
-    const verify::CompiledPlan bound = verify::bind(prog, compiled.cps, compiled.plan);
-    out->verify_json = verify::check(bound).to_json();
-    const exec::Machine machine = exec::Machine::sp2();
-    const model::ModelParams mparams = model::ModelParams::from_machine(machine);
-    out->model_json =
-        model::predict(prog, compiled.cps, compiled.plan, machine).to_json(mparams);
-  } catch (const dhpf::Error& e) {
-    out->ok = false;
-    out->error_code =
-        static_cast<int>(parsed ? ErrorCode::CompileError : ErrorCode::ParseError);
-    out->error = e.what();
-  } catch (const std::exception& e) {
-    out->ok = false;
-    out->error_code = static_cast<int>(ErrorCode::Internal);
-    out->error = e.what();
-  }
-  return out;
-}
-
-CachedResultPtr run_tune(const Request& req) {
-  auto out = std::make_shared<CachedResult>();
-  bool parsed = false;
-  try {
-    hpf::Program prog = hpf::parse(req.source);
-    parsed = true;
-    if (!req.grid.empty()) {
-      if (prog.grids().empty()) {
-        // Request-validation failure, not a compile failure of the program:
-        // classify as BadRequest (still cached — the verdict is a pure
-        // function of source × grid, so caching it is sound).
-        out->ok = false;
-        out->error_code = static_cast<int>(ErrorCode::BadRequest);
-        out->error = "grid override given but the program declares no processor grid";
-        return out;
-      }
-      prog.grids().front()->extents = req.grid;
+    if (req.kind == Kind::Tune) {
+      tune::TuneOptions topt;
+      topt.measure_top_k = req.tune_measure;
+      topt.xopt.backend = req.backend;
+      out->tune_json = tune::tune(prog, topt).to_json();
+    } else if (req.kind == Kind::Lint) {
+      lint::Report rep = lint::run(prog);
+      lint::add_snippets(rep, req.source);
+      out->lint_json = rep.to_json();
+    } else {
+      const codegen::CompileResult compiled =
+          codegen::compile(prog, req.flags.sopt, req.flags.copt);
+      out->listing = compiled.listing;
+      out->report_json = compiled.report.to_json();
+      const verify::CompiledPlan bound = verify::bind(prog, compiled.cps, compiled.plan);
+      out->verify_json = verify::check(bound).to_json();
+      const exec::Machine machine = exec::Machine::sp2();
+      const model::ModelParams mparams = model::ModelParams::from_machine(machine);
+      out->model_json =
+          model::predict(prog, compiled.cps, compiled.plan, machine).to_json(mparams);
     }
-    tune::TuneOptions topt;
-    topt.measure_top_k = req.tune_measure;
-    topt.xopt.backend = req.backend;
-    out->tune_json = tune::tune(prog, topt).to_json();
-  } catch (const dhpf::Error& e) {
-    out->ok = false;
-    out->error_code =
-        static_cast<int>(parsed ? ErrorCode::CompileError : ErrorCode::ParseError);
-    out->error = e.what();
-  } catch (const std::exception& e) {
-    out->ok = false;
-    out->error_code = static_cast<int>(ErrorCode::Internal);
-    out->error = e.what();
-  }
-  return out;
-}
-
-CachedResultPtr run_lint(const Request& req) {
-  auto out = std::make_shared<CachedResult>();
-  bool parsed = false;
-  try {
-    hpf::Program prog = hpf::parse(req.source);
-    parsed = true;
-    if (!req.grid.empty()) {
-      if (prog.grids().empty()) {
-        out->ok = false;
-        out->error_code = static_cast<int>(ErrorCode::BadRequest);
-        out->error = "grid override given but the program declares no processor grid";
-        return out;
-      }
-      prog.grids().front()->extents = req.grid;
-    }
-    lint::Report rep = lint::run(prog);
-    lint::add_snippets(rep, req.source);
-    out->lint_json = rep.to_json();
   } catch (const dhpf::Error& e) {
     out->ok = false;
     out->error_code =
@@ -171,6 +118,19 @@ void project(const Request& req, const CachedResult& value, Response& resp) {
   }
 }
 
+Response response_to(const Request& req) {
+  Response resp;
+  resp.id = req.id;
+  resp.kind = req.kind;
+  return resp;
+}
+
+double seconds_between(std::uint64_t from_ns, std::uint64_t to_ns) {
+  return static_cast<double>(to_ns - from_ns) / 1e9;
+}
+
+std::uint64_t now_ns() { return trace::Recorder::global().now_ns(); }
+
 std::string grid_part(const std::vector<int>& grid) {
   std::ostringstream os;
   for (std::size_t i = 0; i < grid.size(); ++i) {
@@ -201,6 +161,8 @@ CacheKey request_key(const Request& req) {
   return content_hash({req.source, req.flags.canonical(), grid, tail});
 }
 
+using Done = std::function<void(Response)>;
+
 struct Service::Impl {
   explicit Impl(const ServiceOptions& opt)
       : cache(opt.enable_cache ? (opt.cache_entries == 0 ? 1 : opt.cache_entries) : 0),
@@ -219,9 +181,12 @@ struct Service::Impl {
   std::atomic<std::uint64_t> rejected{0};
   std::atomic<std::uint64_t> by_kind[kNumKinds] = {};
 
-  void execute(const Request& req, std::uint64_t enqueue_ns,
-               std::function<void(Response)>& done);
-  Response run_request(const Request& req);
+  void dispatch(Request req, Done done, std::uint64_t submit_ns, std::uint64_t start_ns);
+  void enqueue(Request req, std::optional<CacheKey> key, Done done, std::uint64_t submit_ns);
+  void answer(Response resp, const Done& done) {
+    (resp.ok ? ok : errors).fetch_add(1, std::memory_order_relaxed);
+    done(std::move(resp));
+  }
 };
 
 Service::Service(const ServiceOptions& opt) : impl_(std::make_unique<Impl>(opt)) {}
@@ -231,90 +196,95 @@ Service::~Service() {
   impl_->pool.drain();
 }
 
-/// Worker-side request execution: trace spans, cache probe/fill/coalesce,
-/// per-request metrics registry, timing.
-void Service::Impl::execute(const Request& req, std::uint64_t enqueue_ns,
-                            std::function<void(Response)>& done) {
-  trace::Recorder& rec = trace::Recorder::global();
-  const std::uint64_t start_ns = rec.now_ns();
-  if (rec.enabled()) {
-    static const trace::NameId kQueueWait = rec.intern("svc.queue_wait");
-    rec.record_complete(kQueueWait, trace::Kind::Wait, enqueue_ns, start_ns);
+/// Probe the cache on the calling thread: answer a hit here, queue a fill
+/// or a no_cache run on the pool, or join the fill already in flight.
+/// `submit_ns` stamps the submit and `start_ns` this probe; they differ
+/// only for a request whose joined fill was abandoned.
+void Service::Impl::dispatch(Request req, Done done, std::uint64_t submit_ns,
+                             std::uint64_t start_ns) {
+  if (req.no_cache) {
+    enqueue(std::move(req), std::nullopt, std::move(done), submit_ns);
+    return;
   }
-
-  Response resp = run_request(req);
-
-  resp.queue_seconds = static_cast<double>(start_ns - enqueue_ns) / 1e9;
-  resp.service_seconds = static_cast<double>(rec.now_ns() - start_ns) / 1e9;
-  (resp.ok ? ok : errors).fetch_add(1, std::memory_order_relaxed);
-  done(std::move(resp));
+  const CacheKey key = request_key(req);
+  ResultCache::Probe probe;
+  {
+    DHPF_TRACE_SPAN("svc.cache_probe", trace::Kind::Phase);
+    probe = cache.probe(key);
+  }
+  if (probe.must_fill) {
+    enqueue(std::move(req), key, std::move(done), submit_ns);
+    return;
+  }
+  if (probe.hit) {
+    Response resp = response_to(req);
+    resp.cached = true;
+    project(req, *probe.hit, resp);
+    resp.queue_seconds = seconds_between(submit_ns, start_ns);
+    resp.service_seconds = seconds_between(start_ns, now_ns());
+    answer(std::move(resp), done);
+    return;
+  }
+  // A fill of this key is in flight: its filler answers this request too,
+  // so no thread waits for it.
+  ResultCache::on_fill(probe.pending, [this, req = std::move(req), done = std::move(done),
+                                       submit_ns](CachedResultPtr value) mutable {
+    const std::uint64_t joined_ns = now_ns();
+    if (!value) {  // the filler abandoned the key: probe again
+      dispatch(std::move(req), std::move(done), submit_ns, joined_ns);
+      return;
+    }
+    Response resp = response_to(req);
+    resp.cached = true;
+    project(req, *value, resp);
+    resp.queue_seconds = seconds_between(submit_ns, joined_ns);
+    resp.service_seconds = seconds_between(joined_ns, now_ns());
+    answer(std::move(resp), done);
+  });
 }
 
-Response Service::Impl::run_request(const Request& req) {
-  Response resp;
-  resp.id = req.id;
-  resp.kind = req.kind;
-  requests.fetch_add(1, std::memory_order_relaxed);
-  by_kind[static_cast<int>(req.kind)].fetch_add(1, std::memory_order_relaxed);
-
-  if (req.kind == Kind::Stats) {
-    resp.ok = true;
-    resp.code = ErrorCode::None;
-    // stats_json needs the Service facade; filled by the caller shim below.
-    return resp;
-  }
-  if (req.source.empty()) {
-    resp.ok = false;
-    resp.code = ErrorCode::BadRequest;
-    resp.error = "empty program source";
-    return resp;
-  }
-
-  // Per-request metrics isolation: every counter and pass timer bumped
-  // while this request runs lands in a registry that dies with the request.
-  obs::Registry request_registry;
-  obs::ScopedRegistry scoped(request_registry);
-
-  const auto runner = req.kind == Kind::Tune   ? run_tune
-                      : req.kind == Kind::Lint ? run_lint
-                                               : run_pipeline;
-
-  if (req.no_cache) {
-    DHPF_TRACE_SPAN("svc.compile", trace::Kind::Phase);
-    project(req, *runner(req), resp);
-    return resp;
-  }
-
-  const CacheKey key = request_key(req);
-  for (;;) {
-    ResultCache::Probe probe;
-    {
-      DHPF_TRACE_SPAN("svc.cache_probe", trace::Kind::Phase);
-      probe = cache.probe(key);
+/// Run `req` on a pool worker: a fill of `key`, or a no_cache run when
+/// there is no key. A fill is published before `req` is answered, so the
+/// requests that joined it are answered first and a requester that sends
+/// its next request after this answer finds the value resident.
+void Service::Impl::enqueue(Request req, std::optional<CacheKey> key, Done done,
+                            std::uint64_t submit_ns) {
+  pool.submit([this, req = std::move(req), key, done = std::move(done), submit_ns] {
+    trace::Recorder& rec = trace::Recorder::global();
+    const std::uint64_t start_ns = rec.now_ns();
+    if (rec.enabled()) {
+      static const trace::NameId kQueueWait = rec.intern("svc.queue_wait");
+      rec.record_complete(kQueueWait, trace::Kind::Wait, submit_ns, start_ns);
     }
-    if (probe.hit) {
-      resp.cached = true;
-      project(req, *probe.hit, resp);
-      return resp;
+    CachedResultPtr value;
+    try {
+      // Per-request metrics isolation: every counter and pass timer bumped
+      // while this request runs lands in a registry that dies with it.
+      obs::Registry request_registry;
+      obs::ScopedRegistry scoped(request_registry);
+      DHPF_TRACE_SPAN("svc.compile", trace::Kind::Phase);
+      value = run_uncached(req);
+    } catch (...) {
+      // run_uncached turns dhpf::Error and std::exception into results;
+      // only another throw, or an allocation failure outside its try, ends
+      // here, with no result to cache.
     }
-    if (probe.must_fill) {
-      CachedResultPtr value;
-      {
-        DHPF_TRACE_SPAN("svc.compile", trace::Kind::Phase);
-        value = runner(req);
-      }
-      cache.fill(key, value);
+    Response resp = response_to(req);
+    if (value) {
       project(req, *value, resp);
-      return resp;
+    } else {
+      resp.ok = false;
+      resp.code = ErrorCode::Internal;
+      resp.error = "the request failed without a result";
     }
-    // A fill for this key is in flight: coalesce onto it.
-    if (CachedResultPtr value = ResultCache::wait(probe.pending)) {
-      resp.cached = true;
-      project(req, *value, resp);
-      return resp;
-    }
-    // Filler abandoned (should not happen: runners never throw) — retry.
-  }
+    resp.queue_seconds = seconds_between(submit_ns, start_ns);
+    resp.service_seconds = seconds_between(start_ns, rec.now_ns());
+    if (key && value)
+      cache.fill(*key, std::move(value));
+    else if (key)
+      cache.abandon(*key);
+    answer(std::move(resp), done);
+  });
 }
 
 Response Service::handle(const Request& req) {
@@ -334,30 +304,33 @@ Response Service::handle(const Request& req) {
 }
 
 void Service::submit(Request req, std::function<void(Response)> done) {
-  if (impl_->draining.load(std::memory_order_relaxed)) {
-    impl_->rejected.fetch_add(1, std::memory_order_relaxed);
-    Response resp;
-    resp.id = req.id;
-    resp.kind = req.kind;
+  const std::uint64_t submit_ns = now_ns();
+  Impl& im = *impl_;
+  Response resp = response_to(req);
+  if (im.draining.load(std::memory_order_relaxed)) {
+    im.rejected.fetch_add(1, std::memory_order_relaxed);
     resp.ok = false;
     resp.code = ErrorCode::Shutdown;
     resp.error = "service is draining";
     done(std::move(resp));
     return;
   }
-  const std::uint64_t enqueue_ns = trace::Recorder::global().now_ns();
-  Impl* impl = impl_.get();
-  impl->pool.submit(
-      [impl, this, req = std::move(req), enqueue_ns, done = std::move(done)]() mutable {
-        // Stats requests snapshot through the facade (needs `this`); the
-        // shim keeps Impl::run_request free of a back-pointer.
-        std::function<void(Response)> finish = [this, &req,
-                                                &done](Response resp) {
-          if (req.kind == Kind::Stats && resp.ok) resp.stats_json = stats_json();
-          done(std::move(resp));
-        };
-        impl->execute(req, enqueue_ns, finish);
-      });
+  im.requests.fetch_add(1, std::memory_order_relaxed);
+  im.by_kind[static_cast<int>(req.kind)].fetch_add(1, std::memory_order_relaxed);
+  if (req.kind == Kind::Stats) {
+    resp.ok = true;
+    resp.code = ErrorCode::None;
+    resp.stats_json = stats_json();
+  } else if (req.source.empty()) {
+    resp.ok = false;
+    resp.code = ErrorCode::BadRequest;
+    resp.error = "empty program source";
+  } else {
+    im.dispatch(std::move(req), std::move(done), submit_ns, submit_ns);
+    return;
+  }
+  resp.service_seconds = seconds_between(submit_ns, now_ns());
+  im.answer(std::move(resp), done);
 }
 
 std::vector<Response> Service::handle_batch(const std::vector<Request>& batch) {

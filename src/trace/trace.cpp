@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
+#include <deque>
 #include <limits>
 #include <memory>
 #include <mutex>
@@ -73,16 +74,26 @@ struct Ring {
   std::string label;
   int sort_key = -1;
   std::uint64_t reg_index = 0;  ///< registration order (drain tiebreak)
-  bool retired = false;         ///< owner exited; on the free list
 };
+
+/// Exited threads' rings kept for a drain() before the oldest is reused.
+constexpr std::size_t kMaxUndrainedRings = 64;
 
 struct RecorderState {
   std::mutex mu;
   std::vector<std::unique_ptr<Ring>> rings;  // all rings ever, stable addresses
-  std::vector<Ring*> free_rings;             // retired, awaiting reuse
+  std::deque<Ring*> undrained;               // owner exited, spans not drained; oldest first
+  std::vector<Ring*> free_rings;             // owner exited, spans drained: reusable
+  std::uint64_t recycled_spans = 0;          // spans of undrained rings lost to reuse
   std::vector<std::string> names;
   std::unordered_map<std::string, NameId> name_ids;
   std::uint64_t registrations = 0;
+
+  /// A drain() or reset() has taken every exited thread's spans.
+  void mark_drained() {
+    free_rings.insert(free_rings.end(), undrained.begin(), undrained.end());
+    undrained.clear();
+  }
 };
 
 RecorderState& state() {
@@ -92,7 +103,7 @@ RecorderState& state() {
 }
 
 /// Thread-local handle; the destructor force-closes open spans and parks
-/// the ring on the free list for the next thread.
+/// the ring until a drain has taken its spans.
 struct TlsSlot {
   Ring* ring = nullptr;
 
@@ -114,8 +125,7 @@ struct TlsSlot {
     }
     RecorderState& s = state();
     std::lock_guard<std::mutex> lock(s.mu);
-    ring->retired = true;
-    s.free_rings.push_back(ring);
+    s.undrained.push_back(ring);
   }
 };
 
@@ -144,16 +154,23 @@ detail::Ring& Recorder::my_ring() {
   if (tls.ring == nullptr) {
     detail::RecorderState& s = detail::state();
     std::lock_guard<std::mutex> lock(s.mu);
-    detail::Ring* r;
+    detail::Ring* r = nullptr;
     if (!s.free_rings.empty()) {
       r = s.free_rings.back();
       s.free_rings.pop_back();
-      // A reused ring starts clean: the dead owner's history is discarded
-      // (keeping it would interleave two threads' spans on one track).
+    } else if (s.undrained.size() >= detail::kMaxUndrainedRings) {
+      // Flight-recorder rule: past the bound, the oldest exited thread's
+      // spans are overwritten, and counted as dropped.
+      r = s.undrained.front();
+      s.undrained.pop_front();
+      s.recycled_spans += r->head.load(std::memory_order_relaxed);
+    }
+    if (r != nullptr) {
+      // A reused ring starts clean (keeping the old spans would interleave
+      // two threads' spans on one track).
       r->head.store(0, std::memory_order_relaxed);
       r->stack.clear();
       r->next_seq = 0;
-      r->retired = false;
       if (r->slots.size() != ring_capacity_) {
         r->slots.assign(ring_capacity_, Event{});
         r->slots.resize(ring_capacity_);
@@ -226,6 +243,8 @@ void Recorder::reset(std::size_t ring_capacity) {
   detail::RecorderState& s = detail::state();
   std::lock_guard<std::mutex> lock(s.mu);
   ring_capacity_ = ring_capacity == 0 ? 1 : ring_capacity;
+  s.mark_drained();
+  s.recycled_spans = 0;
   for (auto& rp : s.rings) {
     detail::Ring& r = *rp;
     r.slots.assign(ring_capacity_, Event{});
@@ -287,6 +306,7 @@ TraceDump Recorder::drain() const {
   });
   dump.threads.reserve(keyed.size());
   for (auto& k : keyed) dump.threads.push_back(std::move(k.td));
+  s.mark_drained();
   return dump;
 }
 
@@ -321,6 +341,8 @@ Recorder::Totals Recorder::totals() const {
   detail::RecorderState& s = detail::state();
   std::lock_guard<std::mutex> lock(s.mu);
   Totals t;
+  t.recorded = s.recycled_spans;
+  t.dropped = s.recycled_spans;
   for (const auto& rp : s.rings) {
     const std::uint64_t h = rp->head.load(std::memory_order_acquire);
     const std::size_t cap = rp->slots.size();

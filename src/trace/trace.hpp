@@ -33,10 +33,13 @@
 //
 // Lifetime: the recorder and the interned-name table are never destroyed
 // (NameIds cached in function-local statics stay valid for the process
-// life, like obs::Registry handles). Rings of exited threads are parked on
-// a free list and reused by later threads — memory is bounded by the peak
-// concurrent thread count, not by how many threads ever ran (the fuzz
-// campaign spawns tens of thousands of short-lived rank threads).
+// life, like obs::Registry handles). The ring of an exited thread keeps its
+// spans until a drain() or reset() has taken them; only then is it reused
+// by a later thread. At most 64 exited threads' rings wait for a drain:
+// past that, the oldest is reused and its spans count as dropped. Memory is
+// thus bounded by the peak concurrent thread count plus those 64 rings, not
+// by how many threads ever ran (the fuzz campaign spawns tens of thousands
+// of short-lived rank threads).
 #pragma once
 
 #include <atomic>
@@ -142,14 +145,15 @@ class Recorder {
   /// threads sort after ranks, alphabetically).
   void set_thread_label(std::string label, int sort_key = -1);
 
-  /// Drop all recorded spans and retired rings, and set the ring capacity
-  /// for subsequently (re)registered threads. Only safe when no other
+  /// Drop all recorded spans, exited threads' included, and set the ring
+  /// capacity for subsequently (re)registered threads. Only safe when no other
   /// thread is tracing (tests; the CLI configures before compiling).
   /// Interned names are preserved.
   void reset(std::size_t ring_capacity = kDefaultRingCapacity);
 
   /// Snapshot every thread's ring (full fidelity when producers are
-  /// quiescent; see the module comment). Does not consume the events.
+  /// quiescent; see the module comment). Live threads keep their events;
+  /// exited threads' rings become reusable by threads that start later.
   [[nodiscard]] TraceDump drain() const;
 
   /// Human-readable flight-recorder dump: the last `tail` spans of every

@@ -7,9 +7,18 @@
 // cache on, cache off, any worker count — or the daemon is not a drop-in
 // for the one-shot CLI.
 #include <gtest/gtest.h>
+#include <sys/socket.h>
+#include <sys/un.h>
+#include <unistd.h>
 
 #include <atomic>
+#include <chrono>
+#include <condition_variable>
 #include <cstdio>
+#include <cstdlib>
+#include <cstring>
+#include <functional>
+#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
@@ -47,6 +56,42 @@ svc::Request make_req(svc::Kind kind, std::string source, std::uint64_t id = 1) 
   req.source = std::move(source);
   return req;
 }
+
+/// Ends the test binary if its scope is still running after `seconds`. The
+/// transport regressions these guard against hang instead of failing, and
+/// a hung ctest never says which case hung.
+class Deadline {
+ public:
+  Deadline(const char* what, double seconds) : what_(what), seconds_(seconds) {
+    watcher_ = std::thread([this] { watch(); });
+  }
+  ~Deadline() {
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      done_ = true;
+    }
+    cv_.notify_all();
+    watcher_.join();
+  }
+  Deadline(const Deadline&) = delete;
+  Deadline& operator=(const Deadline&) = delete;
+
+ private:
+  void watch() {
+    std::unique_lock<std::mutex> lock(mu_);
+    if (cv_.wait_for(lock, std::chrono::duration<double>(seconds_), [this] { return done_; }))
+      return;
+    std::fprintf(stderr, "deadline: %s still running after %.0f s\n", what_, seconds_);
+    std::_Exit(1);
+  }
+
+  const char* what_;
+  double seconds_;
+  std::mutex mu_;
+  std::condition_variable cv_;
+  bool done_ = false;
+  std::thread watcher_;
+};
 
 // ------------------------------------------------------------- protocol
 
@@ -214,25 +259,98 @@ TEST(SvcCache, CoalescesConcurrentFills) {
   svc::ResultCache::Probe filler = cache.probe(key);
   ASSERT_TRUE(filler.must_fill);
 
-  // Waiters that probe while the fill is in flight coalesce onto it.
-  std::vector<std::thread> threads;
-  std::atomic<int> got{0};
+  // Requests that probe while the fill is in flight join it: each
+  // continuation runs once, on the filler's thread, with the filled value.
+  std::mutex mu;
+  std::vector<std::pair<std::string, std::thread::id>> ran;
   for (int t = 0; t < 4; ++t) {
     svc::ResultCache::Probe w = cache.probe(key);
     ASSERT_FALSE(w.must_fill);
     ASSERT_TRUE(w.hit == nullptr);
-    threads.emplace_back([w, &got] {
-      if (svc::CachedResultPtr v = svc::ResultCache::wait(w.pending))
-        if (v->listing == "the one compile") got.fetch_add(1);
+    ASSERT_TRUE(w.pending != nullptr);
+    svc::ResultCache::on_fill(w.pending, [&](svc::CachedResultPtr v) {
+      std::lock_guard<std::mutex> lock(mu);
+      ran.emplace_back(v ? v->listing : "null", std::this_thread::get_id());
     });
   }
-  auto v = std::make_shared<svc::CachedResult>();
-  v->listing = "the one compile";
-  cache.fill(key, v);
-  for (auto& t : threads) t.join();
-  EXPECT_EQ(got.load(), 4);
+  EXPECT_TRUE(ran.empty()) << "continuations ran before the fill";
+
+  std::thread::id filler_thread;
+  std::thread t([&] {
+    filler_thread = std::this_thread::get_id();
+    auto v = std::make_shared<svc::CachedResult>();
+    v->listing = "the one compile";
+    cache.fill(key, v);
+  });
+  t.join();
+  ASSERT_EQ(ran.size(), 4u);
+  for (const auto& [listing, thread] : ran) {
+    EXPECT_EQ(listing, "the one compile");
+    EXPECT_EQ(thread, filler_thread);
+  }
   EXPECT_EQ(cache.stats().coalesced, 4u);
   EXPECT_EQ(cache.stats().misses, 1u);
+  ASSERT_TRUE(cache.probe(key).hit != nullptr);
+}
+
+TEST(SvcCache, ContinuationAfterTheFillRunsAtOnce) {
+  svc::ResultCache cache(/*capacity=*/16);
+  const svc::CacheKey key = svc::content_hash({"late"});
+  ASSERT_TRUE(cache.probe(key).must_fill);
+  svc::ResultCache::Probe joined = cache.probe(key);
+  ASSERT_TRUE(joined.pending != nullptr);
+  auto v = std::make_shared<svc::CachedResult>();
+  v->listing = "already there";
+  cache.fill(key, v);
+
+  // The fill landed between the probe and the registration: the
+  // continuation runs on the registering thread before on_fill returns.
+  int runs = 0;
+  svc::ResultCache::on_fill(joined.pending, [&](svc::CachedResultPtr got) {
+    ASSERT_TRUE(got != nullptr);
+    EXPECT_EQ(got->listing, "already there");
+    ++runs;
+  });
+  EXPECT_EQ(runs, 1);
+}
+
+TEST(SvcCache, AbandonHandsContinuationsNullAndTheyProbeAgain) {
+  svc::ResultCache cache(/*capacity=*/16);
+  const svc::CacheKey key = svc::content_hash({"abandoned"});
+  ASSERT_TRUE(cache.probe(key).must_fill);
+
+  // Each joined request does what the service does with a null value:
+  // probe again. The first to do so becomes the new filler, the others
+  // join its fill.
+  std::vector<std::string> outcome;
+  std::function<void(int)> join = [&](int who) {
+    svc::ResultCache::Probe p = cache.probe(key);
+    if (p.must_fill) {
+      outcome.push_back(std::to_string(who) + ":fills");
+      return;
+    }
+    ASSERT_TRUE(p.pending != nullptr);
+    svc::ResultCache::on_fill(p.pending, [&, who](svc::CachedResultPtr v) {
+      if (!v) {
+        outcome.push_back(std::to_string(who) + ":null");
+        join(who);
+      } else {
+        outcome.push_back(std::to_string(who) + ":" + v->listing);
+      }
+    });
+  };
+  join(1);
+  join(2);
+  EXPECT_TRUE(outcome.empty());
+
+  cache.abandon(key);
+  EXPECT_EQ(outcome, (std::vector<std::string>{"1:null", "1:fills", "2:null"}));
+  EXPECT_TRUE(cache.probe(key).pending != nullptr) << "the new fill is in flight";
+  auto v = std::make_shared<svc::CachedResult>();
+  v->listing = "second try";
+  cache.fill(key, v);
+  EXPECT_EQ(outcome.back(), "2:second try");
+  EXPECT_EQ(cache.stats().entries, 1u);
 }
 
 TEST(SvcCache, ZeroCapacityDisablesStorage) {
@@ -375,6 +493,42 @@ TEST(SvcService, DrainRejectsNewWorkGracefully) {
   EXPECT_FALSE(rejected.ok);
   EXPECT_EQ(rejected.code, svc::ErrorCode::Shutdown);
   EXPECT_EQ(service.stats().rejected, 1u);
+}
+
+TEST(SvcService, OnlyFillsEnterThePool) {
+  svc::ServiceOptions opt;
+  opt.workers = 1;
+  svc::Service service(opt);
+  // The batch dhpfc --server --verify --model-report sends: the verify and
+  // model requests join the compile's fill instead of taking a worker.
+  const std::vector<svc::Response> batch = service.handle_batch(
+      {make_req(svc::Kind::Compile, kStencil, 1), make_req(svc::Kind::Verify, kStencil, 2),
+       make_req(svc::Kind::Model, kStencil, 3)});
+  for (const svc::Response& r : batch) ASSERT_TRUE(r.ok) << r.error;
+  EXPECT_FALSE(batch[0].cached);
+  EXPECT_TRUE(batch[1].cached && batch[2].cached);
+
+  // A hit is answered on the submitting thread, before submit returns, and
+  // spends no time queued.
+  bool answered = false;
+  svc::Response hit;
+  service.submit(make_req(svc::Kind::Compile, kStencil, 4), [&](svc::Response r) {
+    hit = std::move(r);
+    answered = true;
+  });
+  ASSERT_TRUE(answered);
+  EXPECT_TRUE(hit.cached);
+  EXPECT_EQ(hit.listing, batch[0].listing);
+  EXPECT_EQ(hit.queue_seconds, 0.0);
+
+  service.drain();  // a job counts as executed only after it answers
+  const svc::Service::Stats stats = service.stats();
+  EXPECT_EQ(stats.pool.submitted, 1u);
+  EXPECT_EQ(stats.pool.executed, 1u);
+  EXPECT_EQ(stats.cache.misses, 1u);
+  EXPECT_EQ(stats.cache.hits + stats.cache.coalesced, 3u);
+  EXPECT_EQ(stats.requests, 4u);
+  EXPECT_EQ(stats.ok, 4u);
 }
 
 TEST(SvcService, TuneRequestRanksVariants) {
@@ -573,6 +727,64 @@ TEST(SvcSocket, MalformedFrameGetsBadRequest) {
   const svc::Response resp = client.roundtrip(make_req(svc::Kind::Compile, ""));
   EXPECT_FALSE(resp.ok);
   EXPECT_EQ(resp.code, svc::ErrorCode::BadRequest);
+}
+
+TEST(SvcSocket, PipelinedBatchOfHitsCompletes) {
+  // Client::batch writes every request before reading a response. The
+  // server must keep reading while the client is not yet reading: 800 hits
+  // are 0.9 MB of requests and 2.6 MB of responses, past both socket
+  // buffers.
+  Deadline deadline("PipelinedBatchOfHitsCompletes", 30);
+  const std::string path = testing::TempDir() + "svc_pipelined.sock";
+  svc::ServerOptions opt;
+  opt.socket_path = path;
+  opt.service.workers = 4;
+  svc::Server server(opt);
+
+  const std::string source = fuzz::generate(12).source;
+  svc::Client client(path);
+  const svc::Response fill = client.roundtrip(make_req(svc::Kind::Compile, source, 1));
+  ASSERT_TRUE(fill.ok) << fill.error;
+  std::vector<svc::Request> batch;
+  for (std::uint64_t id = 1; id <= 800; ++id)
+    batch.push_back(make_req(svc::Kind::Compile, source, id));
+  const std::vector<svc::Response> responses = client.batch(batch);
+  ASSERT_EQ(responses.size(), batch.size());
+  for (const svc::Response& r : responses) {
+    ASSERT_TRUE(r.ok) << r.error;
+    EXPECT_TRUE(r.cached);
+    EXPECT_EQ(r.listing, fill.listing);
+  }
+}
+
+TEST(SvcSocket, ClientThatNeverReadsStallsOnlyItself) {
+  Deadline deadline("ClientThatNeverReadsStallsOnlyItself", 30);
+  const std::string path = testing::TempDir() + "svc_stalled.sock";
+  svc::ServerOptions opt;
+  opt.socket_path = path;
+  opt.service.workers = 4;
+  svc::Server server(opt);
+
+  // A raw connection that sends 400 requests and never reads: its 1.3 MB
+  // of responses fill the socket and block that connection's writer.
+  const int stalled = ::socket(AF_UNIX, SOCK_STREAM, 0);
+  ASSERT_GE(stalled, 0);
+  sockaddr_un addr{};
+  addr.sun_family = AF_UNIX;
+  std::memcpy(addr.sun_path, path.c_str(), path.size() + 1);
+  ASSERT_EQ(::connect(stalled, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr)), 0);
+  const std::string source = fuzz::generate(12).source;
+  for (std::uint64_t id = 1; id <= 400; ++id)
+    svc::write_frame(stalled, make_req(svc::Kind::Compile, source, id).to_json());
+
+  // Another client's fill is still answered.
+  svc::Client client(path);
+  const svc::Response resp = client.roundtrip(make_req(svc::Kind::Compile, kStencil, 1));
+  EXPECT_TRUE(resp.ok) << resp.error;
+  EXPECT_FALSE(resp.cached);
+  // Close the stalled socket before the server stops: stopping flushes
+  // every connection's responses.
+  ::close(stalled);
 }
 
 // ------------------------------------------------------------ thread pool

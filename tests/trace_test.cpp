@@ -9,7 +9,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <atomic>
 #include <fstream>
 #include <set>
 #include <sstream>
@@ -20,7 +19,6 @@
 #include "codegen/driver.hpp"
 #include "codegen/spmd.hpp"
 #include "exec/channel.hpp"
-#include "exec/collectives.hpp"
 #include "exec/task.hpp"
 #include "mp/runtime.hpp"
 #include "support/metrics.hpp"
@@ -194,6 +192,31 @@ TEST_F(TraceTest, ThreadExitForceClosesOpenSpans) {
   EXPECT_EQ(td->events[0].open, 1) << "force-closed spans keep the open flag";
 }
 
+TEST_F(TraceTest, ExitedThreadKeepsItsSpansUntilDrained) {
+  trace::Recorder& rec = trace::Recorder::global();
+  std::thread a([&] {
+    rec.set_thread_label("exited-first");
+    trace::Span s(std::string_view("a.span"), trace::Kind::Other);
+  });
+  a.join();
+  // b registers after a exited: it must not take a's undrained ring.
+  std::thread b([&] {
+    rec.set_thread_label("started-later");
+    trace::Span s(std::string_view("b.span"), trace::Kind::Other);
+  });
+  b.join();
+
+  const trace::TraceDump dump = rec.drain();
+  const trace::ThreadDump* ta = find_thread(dump, "exited-first");
+  const trace::ThreadDump* tb = find_thread(dump, "started-later");
+  ASSERT_NE(ta, nullptr);
+  ASSERT_NE(tb, nullptr);
+  ASSERT_EQ(ta->events.size(), 1u);
+  ASSERT_EQ(tb->events.size(), 1u);
+  EXPECT_EQ(dump.name_of(ta->events[0].name), "a.span");
+  EXPECT_EQ(dump.name_of(tb->events[0].name), "b.span");
+}
+
 TEST_F(TraceTest, ReusedRingDiscardsTheDeadOwnersHistory) {
   trace::Recorder& rec = trace::Recorder::global();
   std::thread t1([&] {
@@ -201,7 +224,9 @@ TEST_F(TraceTest, ReusedRingDiscardsTheDeadOwnersHistory) {
     trace::Span s(std::string_view("first.span"), trace::Kind::Other);
   });
   t1.join();
-  // t2 reuses t1's parked ring (LIFO free list) and must start clean.
+  // Once a drain has taken t1's spans, t2 reuses t1's parked ring and must
+  // start clean.
+  ASSERT_NE(find_thread(rec.drain(), "first-owner"), nullptr);
   std::thread t2([&] {
     rec.set_thread_label("second-owner");
     trace::Span s(std::string_view("second.span"), trace::Kind::Other);
@@ -216,20 +241,40 @@ TEST_F(TraceTest, ReusedRingDiscardsTheDeadOwnersHistory) {
   EXPECT_EQ(dump.name_of(td->events[0].name), "second.span");
 }
 
+TEST_F(TraceTest, UndrainedExitedRingsAreBoundedOldestFirst) {
+  trace::Recorder& rec = trace::Recorder::global();
+  rec.reset(/*ring_capacity=*/16);
+  rec.set_enabled(true);
+  constexpr int kThreads = 200;
+  for (int i = 0; i < kThreads; ++i) {
+    std::thread t([&, i] {
+      rec.set_thread_label("short" + std::to_string(1000 + i));
+      trace::Span s(std::string_view("short.span"), trace::Kind::Other);
+    });
+    t.join();
+  }
+  // Without a drain, only the newest exited threads keep their spans; the
+  // rest were overwritten oldest first and are counted as dropped.
+  const trace::TraceDump dump = rec.drain();
+  std::vector<int> kept;
+  for (const auto& td : dump.threads)
+    if (td.label.rfind("short", 0) == 0) kept.push_back(std::stoi(td.label.substr(5)) - 1000);
+  ASSERT_GE(kept.size(), 64u);
+  ASSERT_LT(kept.size(), static_cast<std::size_t>(kThreads));
+  for (std::size_t k = 0; k < kept.size(); ++k)
+    EXPECT_EQ(kept[k], kThreads - static_cast<int>(kept.size()) + static_cast<int>(k));
+  EXPECT_EQ(rec.totals().dropped, kThreads - kept.size());
+}
+
 // ------------------------------------------------------ deterministic merge
 
 TEST_F(TraceTest, DrainOrdersThreadsByRankThenLabelAndIsRepeatable) {
   trace::Recorder& rec = trace::Recorder::global();
-  // All four workers must be alive at once — a thread that exits parks its
-  // ring for reuse, and a reused ring drops the dead owner's track.
-  std::atomic<int> arrived{0};
   auto worker = [&](const std::string& label, int sort_key, int spans) {
     rec.set_thread_label(label, sort_key);
     for (int i = 0; i < spans; ++i) {
       trace::Span s(std::string_view(label + ".work"), trace::Kind::Compute);
     }
-    arrived.fetch_add(1);
-    while (arrived.load() < 4) std::this_thread::yield();
   };
   // Start in scrambled order; labels and sort keys decide the dump order.
   std::thread a(worker, "zeta", -1, 3);
@@ -418,9 +463,6 @@ TEST_F(TraceTest, MpAndShmRunsInOneProcessKeepTheirOwnNames) {
         mp::barrier(p);
         mp::note_shared_read(p, 8);
       }
-      // No rank exits before every rank has labelled its ring: a thread
-      // that registers after a peer exited would recycle the peer's ring.
-      co_await exec::barrier(p);
       co_return;
     });
 
