@@ -23,9 +23,9 @@ struct Sample {
 
 std::vector<Sample>* g_samples = nullptr;
 
-void row(const char* app, const char* label, nas::RunResult r, int nprocs) {
-  std::printf("  %-34s %10.4f %9zu %10.2f %9.1f%%\n", label, r.elapsed, r.stats.messages,
-              r.stats.bytes / 1.0e6, 100.0 * r.stats.busy_fraction(nprocs));
+void row(const char* app, const char* label, nas::RunResult r) {
+  std::printf("  %-34s %10.4f %9zu %10.2f %9.1f%%\n", label, r.elapsed, r.messages,
+              r.bytes / 1.0e6, 100.0 * r.busy_fraction());
   if (g_samples) g_samples->push_back(Sample{app, label, std::move(r)});
 }
 
@@ -41,36 +41,33 @@ void app_section(App app, nas::ProblemClass cls) {
   base.verify = false;
 
   row(app_name, "hand-written MPI (multi-part.)",
-      nas::run_variant(Variant::HandMPI, pb, nprocs, sim::Machine::sp2(), base), nprocs);
+      nas::run_variant(Variant::HandMPI, pb, nprocs, exec::Machine::sp2(), base));
   row(app_name, "dHPF-style (all optimizations)",
-      nas::run_variant(Variant::DhpfStyle, pb, nprocs, sim::Machine::sp2(), base), nprocs);
+      nas::run_variant(Variant::DhpfStyle, pb, nprocs, exec::Machine::sp2(), base));
 
   nas::DriverOptions no_loc = base;
   no_loc.dhpf.localize = false;
   row(app_name, "dHPF-style, no LOCALIZE (sec 4.2)",
-      nas::run_variant(Variant::DhpfStyle, pb, nprocs, sim::Machine::sp2(), no_loc), nprocs);
+      nas::run_variant(Variant::DhpfStyle, pb, nprocs, exec::Machine::sp2(), no_loc));
 
   nas::DriverOptions no_avail = base;
   no_avail.dhpf.data_availability = false;
   row(app_name, "dHPF-style, no data avail (sec 7)",
-      nas::run_variant(Variant::DhpfStyle, pb, nprocs, sim::Machine::sp2(), no_avail),
-      nprocs);
+      nas::run_variant(Variant::DhpfStyle, pb, nprocs, exec::Machine::sp2(), no_avail));
 
   nas::DriverOptions neither = base;
   neither.dhpf.localize = false;
   neither.dhpf.data_availability = false;
   row(app_name, "dHPF-style, neither",
-      nas::run_variant(Variant::DhpfStyle, pb, nprocs, sim::Machine::sp2(), neither),
-      nprocs);
+      nas::run_variant(Variant::DhpfStyle, pb, nprocs, exec::Machine::sp2(), neither));
 
   nas::DriverOptions cubic = base;
   cubic.dhpf.grid3d = true;
   row(app_name, "dHPF-style, 3D BLOCK (BT option)",
-      nas::run_variant(Variant::DhpfStyle, pb, nprocs, sim::Machine::sp2(), cubic),
-      nprocs);
+      nas::run_variant(Variant::DhpfStyle, pb, nprocs, exec::Machine::sp2(), cubic));
 
   row(app_name, "PGI-style (1D + transposes)",
-      nas::run_variant(Variant::PgiStyle, pb, nprocs, sim::Machine::sp2(), base), nprocs);
+      nas::run_variant(Variant::PgiStyle, pb, nprocs, exec::Machine::sp2(), base));
 }
 
 }  // namespace
@@ -92,7 +89,7 @@ int main(int argc, char** argv) {
     w.member("bench", "ablation: data distribution & dHPF optimizations");
     w.member("nprocs", nprocs);
     w.key("machine");
-    bench::machine_json(w, sim::Machine::sp2());
+    bench::machine_json(w, exec::Machine::sp2());
     w.key("rows");
     w.begin_array();
     for (const auto& s : samples) {
@@ -100,11 +97,11 @@ int main(int argc, char** argv) {
       w.member("app", s.app);
       w.member("configuration", s.config);
       w.member("elapsed", s.r.elapsed);
-      w.member("messages", s.r.stats.messages);
-      w.member("bytes", s.r.stats.bytes);
-      w.member("busy_fraction", s.r.stats.busy_fraction(nprocs));
-      w.member("comm_fraction", s.r.stats.comm_fraction(nprocs));
-      w.member("idle_fraction", s.r.stats.idle_fraction(nprocs));
+      w.member("messages", s.r.messages);
+      w.member("bytes", s.r.bytes);
+      w.member("busy_fraction", s.r.busy_fraction());
+      w.member("comm_fraction", s.r.comm_fraction());
+      w.member("idle_fraction", s.r.idle_fraction());
       w.end_object();
     }
     w.end_array();

@@ -24,12 +24,12 @@ namespace {
 struct Sample {
   const char* machine = nullptr;
   const char* variant = nullptr;
-  sim::Machine m;
+  exec::Machine m;
   nas::RunResult r;
   double efficiency_vs_hand = 0.0;
 };
 
-std::vector<Sample> machine_section(const char* name, const sim::Machine& m,
+std::vector<Sample> machine_section(const char* name, const exec::Machine& m,
                                     nas::ProblemClass cls) {
   Problem pb = Problem::make(App::SP, cls, 2);
   const int nprocs = 16;
@@ -46,7 +46,7 @@ std::vector<Sample> machine_section(const char* name, const sim::Machine& m,
     if (v == Variant::HandMPI) hand_time = r.elapsed;
     const double eff = hand_time / r.elapsed;
     std::printf("  %-12s %12.4f %9.1f%%   %.2f\n", nas::to_string(v), r.elapsed,
-                100.0 * r.stats.busy_fraction(nprocs), eff);
+                100.0 * r.busy_fraction(), eff);
     out.push_back(Sample{name, nas::to_string(v), m, std::move(r), eff});
   }
   return out;
@@ -59,11 +59,11 @@ int main(int argc, char** argv) {
   std::printf("=== Ablation: network sensitivity of the SP comparison (P=16, class A) ===\n");
   const auto cls = args.cls.value_or(nas::ProblemClass::A);
   std::vector<Sample> samples;
-  for (auto& s : machine_section("IBM SP2 (the paper's platform)", sim::Machine::sp2(), cls))
+  for (auto& s : machine_section("IBM SP2 (the paper's platform)", exec::Machine::sp2(), cls))
     samples.push_back(std::move(s));
-  for (auto& s : machine_section("Ethernet cluster", sim::Machine::ethernet_cluster(), cls))
+  for (auto& s : machine_section("Ethernet cluster", exec::Machine::ethernet_cluster(), cls))
     samples.push_back(std::move(s));
-  for (auto& s : machine_section("fast switch", sim::Machine::fast_switch(), cls))
+  for (auto& s : machine_section("fast switch", exec::Machine::fast_switch(), cls))
     samples.push_back(std::move(s));
 
   if (!args.json_path.empty()) {
@@ -81,9 +81,9 @@ int main(int argc, char** argv) {
       bench::machine_json(w, s.m);
       w.member("variant", s.variant);
       w.member("elapsed", s.r.elapsed);
-      w.member("messages", s.r.stats.messages);
-      w.member("bytes", s.r.stats.bytes);
-      w.member("busy_fraction", s.r.stats.busy_fraction(nprocs));
+      w.member("messages", s.r.messages);
+      w.member("bytes", s.r.bytes);
+      w.member("busy_fraction", s.r.busy_fraction());
       w.member("efficiency_vs_hand", s.efficiency_vs_hand);
       w.end_object();
     }

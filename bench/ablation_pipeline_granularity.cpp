@@ -36,13 +36,13 @@ int main(int argc, char** argv) {
       nas::DriverOptions opt;
       opt.verify = false;
       opt.dhpf.pipeline_tile = tile;
-      auto r = nas::run_variant(Variant::DhpfStyle, pb, nprocs, sim::Machine::sp2(), opt);
+      auto r = nas::run_variant(Variant::DhpfStyle, pb, nprocs, exec::Machine::sp2(), opt);
       if (tile == 0)
-        std::printf("  %8s %12.4f %10zu %9.1f%%\n", "auto", r.elapsed, r.stats.messages,
-                    100.0 * r.stats.busy_fraction(nprocs));
+        std::printf("  %8s %12.4f %10zu %9.1f%%\n", "auto", r.elapsed, r.messages,
+                    100.0 * r.busy_fraction());
       else
-        std::printf("  %8d %12.4f %10zu %9.1f%%\n", tile, r.elapsed, r.stats.messages,
-                    100.0 * r.stats.busy_fraction(nprocs));
+        std::printf("  %8d %12.4f %10zu %9.1f%%\n", tile, r.elapsed, r.messages,
+                    100.0 * r.busy_fraction());
       if (tile != 0 && r.elapsed < best) {
         best = r.elapsed;
         best_tile = tile;
@@ -59,7 +59,7 @@ int main(int argc, char** argv) {
     w.begin_object();
     w.member("bench", "ablation: pipeline granularity (dHPF-style SP)");
     w.key("machine");
-    bench::machine_json(w, sim::Machine::sp2());
+    bench::machine_json(w, exec::Machine::sp2());
     w.member("n", pb.n);
     w.member("niter", pb.niter);
     w.key("rows");
@@ -72,9 +72,9 @@ int main(int argc, char** argv) {
       else
         w.member("tile", s.tile);
       w.member("elapsed", s.r.elapsed);
-      w.member("messages", s.r.stats.messages);
-      w.member("bytes", s.r.stats.bytes);
-      w.member("busy_fraction", s.r.stats.busy_fraction(s.nprocs));
+      w.member("messages", s.r.messages);
+      w.member("bytes", s.r.bytes);
+      w.member("busy_fraction", s.r.busy_fraction());
       w.end_object();
     }
     w.end_array();

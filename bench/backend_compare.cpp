@@ -120,13 +120,13 @@ HeadToHead default_head_to_head(const hpf::Program& prog) {
   cp::CpResult cps = cp::select_cps(prog);
   comm::CommPlan plan = comm::generate_comm(prog, cps);
   HeadToHead h;
-  h.pred = model::predict(prog, cps, plan, sim::Machine::sp2());
+  h.pred = model::predict(prog, cps, plan, exec::Machine::sp2());
   codegen::SpmdOptions mopt = real_backend_options(exec::Backend::Mp);
   mopt.verify = false;
-  h.wall_mp = codegen::run_spmd(prog, cps, plan, sim::Machine::sp2(), mopt).wall_seconds;
+  h.wall_mp = codegen::run_spmd(prog, cps, plan, exec::Machine::sp2(), mopt).wall_seconds;
   codegen::SpmdOptions sopt = real_backend_options(exec::Backend::Shm);
   sopt.verify = false;
-  h.shm_run = codegen::run_spmd(prog, cps, plan, sim::Machine::sp2(), sopt);
+  h.shm_run = codegen::run_spmd(prog, cps, plan, exec::Machine::sp2(), sopt);
   h.wall_shm = h.shm_run.wall_seconds;
   return h;
 }
@@ -159,9 +159,8 @@ int main(int argc, char** argv) {
                 shm_row.measured_wall);
     std::printf("  default variant    : mp %9.6f s (%zu msgs, %zu bytes)  "
                 "shm %9.6f s (%zu barriers, %zu shared bytes)  shm/mp %.2fx\n",
-                h.wall_mp, h.pred.messages, h.pred.bytes, h.wall_shm,
-                h.shm_run.runtime_stats.barriers, h.shm_run.runtime_stats.shared_read_bytes,
-                h.wall_mp > 0.0 ? h.wall_mp / h.wall_shm : 0.0);
+                h.wall_mp, h.pred.messages, h.pred.bytes, h.wall_shm, h.shm_run.barriers,
+                h.shm_run.shared_read_bytes, h.wall_mp > 0.0 ? h.wall_mp / h.wall_shm : 0.0);
     std::printf("  model: wall %9.6f s  wall_shm %9.6f s (%zu episodes, %.0f critical shared B)\n\n",
                 h.pred.wall(params), h.pred.wall_shm(params), h.pred.barrier_episodes,
                 h.pred.critical_shared_bytes);
@@ -181,8 +180,8 @@ int main(int argc, char** argv) {
     w.member("predicted_best_wall_mp", mp_row.predicted_wall);
     w.member("predicted_best_wall_shm", shm_row.predicted_wall);
     // Runtime counters: exact on shm by the model contract.
-    w.member("shm_barriers", h.shm_run.runtime_stats.barriers);
-    w.member("shm_shared_read_bytes", h.shm_run.runtime_stats.shared_read_bytes);
+    w.member("shm_barriers", h.shm_run.barriers);
+    w.member("shm_shared_read_bytes", h.shm_run.shared_read_bytes);
     // Measured (machine-dependent, skipped by the differ): nested so each
     // leaf's basename is wall_seconds.
     auto wall = [&](const char* key, double v) {

@@ -89,17 +89,16 @@ void run_case(const char* label, const char* source, cp::PrivMode mode) {
   cp::CpResult cps = cp::select_cps(prog, sopt);
   comm::CommPlan plan = comm::generate_comm(prog, cps);
   codegen::SpmdResult r =
-      codegen::run_spmd(prog, cps, plan, sim::Machine::sp2());
+      codegen::run_spmd(prog, cps, plan, exec::Machine::sp2());
   std::size_t priv_fetch_msgs = 0;
   for (const auto& ev : plan.events)
     if (!ev.eliminated && (ev.array->name == "cv" || ev.array->name == "rhoq"))
       ++priv_fetch_msgs;
-  std::printf("  %-36s %10.5f %9zu %10zu %12zu %10zu\n", label, r.elapsed,
-              r.stats.messages, r.stats.bytes, r.total_instances(), priv_fetch_msgs);
+  std::printf("  %-36s %10.5f %9zu %10zu %12zu %10zu\n", label, r.elapsed, r.messages,
+              r.bytes, r.total_instances(), priv_fetch_msgs);
   std::printf("      cv-def CP: %s\n", cps.cp_of(0).to_string().c_str());
-  g_samples.push_back(Sample{label, r.elapsed, r.stats.messages, r.stats.bytes,
-                             r.total_instances(), priv_fetch_msgs,
-                             cps.cp_of(0).to_string()});
+  g_samples.push_back(Sample{label, r.elapsed, r.messages, r.bytes, r.total_instances(),
+                             priv_fetch_msgs, cps.cp_of(0).to_string()});
 }
 
 }  // namespace

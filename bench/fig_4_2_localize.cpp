@@ -67,7 +67,7 @@ void run_case(const char* label, bool localize) {
   sopt.localize = localize;
   cp::CpResult cps = cp::select_cps(prog, sopt);
   comm::CommPlan plan = comm::generate_comm(prog, cps);
-  codegen::SpmdResult r = codegen::run_spmd(prog, cps, plan, sim::Machine::sp2());
+  codegen::SpmdResult r = codegen::run_spmd(prog, cps, plan, exec::Machine::sp2());
   std::size_t recip_events = 0, u_events = 0;
   for (const auto& ev : plan.events) {
     if (ev.eliminated) continue;
@@ -76,10 +76,10 @@ void run_case(const char* label, bool localize) {
     else if (ev.array->name != "rhs")
       ++recip_events;
   }
-  std::printf("  %-28s %10.5f %9zu %10zu %12zu %8zu %8zu\n", label, r.elapsed,
-              r.stats.messages, r.stats.bytes, r.total_instances(), u_events, recip_events);
-  g_samples.push_back(Sample{label, r.elapsed, r.stats.messages, r.stats.bytes,
-                             r.total_instances(), u_events, recip_events});
+  std::printf("  %-28s %10.5f %9zu %10zu %12zu %8zu %8zu\n", label, r.elapsed, r.messages,
+              r.bytes, r.total_instances(), u_events, recip_events);
+  g_samples.push_back(
+      Sample{label, r.elapsed, r.messages, r.bytes, r.total_instances(), u_events, recip_events});
 }
 
 }  // namespace

@@ -87,12 +87,11 @@ void analyze(const char* label, const char* src) {
   // Full pipeline: compile, run, verify.
   cp::CpResult cps = cp::select_cps(prog);
   comm::CommPlan plan = comm::generate_comm(prog, cps);
-  codegen::SpmdResult r = codegen::run_spmd(prog, cps, plan, sim::Machine::sp2());
+  codegen::SpmdResult r = codegen::run_spmd(prog, cps, plan, exec::Machine::sp2());
   std::printf("      executed: time %.5f s, %zu msgs, %zu bytes, verified (max err %.1e)\n",
-              r.elapsed, r.stats.messages, r.stats.bytes, r.max_err);
+              r.elapsed, r.messages, r.bytes, r.max_err);
   g_samples.push_back(Sample{label, info.num_stmts, info.num_groups, info.separated.size(),
-                             info.num_partitions, r.elapsed, r.stats.messages,
-                             r.stats.bytes});
+                             info.num_partitions, r.elapsed, r.messages, r.bytes});
 }
 
 }  // namespace

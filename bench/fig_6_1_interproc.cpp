@@ -70,7 +70,7 @@ int main(int argc, char** argv) {
       if (sc.stmt->is_call())
         std::printf("  call S%d CP: %s\n", id, sc.cp.to_string().c_str());
     comm::CommPlan plan = comm::generate_comm(prog, cps);
-    codegen::SpmdResult r = codegen::run_spmd(prog, cps, plan, sim::Machine::sp2());
+    codegen::SpmdResult r = codegen::run_spmd(prog, cps, plan, exec::Machine::sp2());
     std::printf("  executed: time %.5f s, instances total %zu, per-rank:", r.elapsed,
                 r.total_instances());
     for (auto n : r.instances_per_rank) std::printf(" %zu", n);
@@ -94,7 +94,7 @@ int main(int argc, char** argv) {
     // baseline is executed for its work metric only, not verified.
     codegen::SpmdOptions opt;
     opt.verify = false;
-    codegen::SpmdResult r = codegen::run_spmd(prog, cps, plan, sim::Machine::sp2(), opt);
+    codegen::SpmdResult r = codegen::run_spmd(prog, cps, plan, exec::Machine::sp2(), opt);
     std::printf("  executed: time %.5f s, instances total %zu (P-fold replication of all "
                 "call work)\n",
                 r.elapsed, r.total_instances());

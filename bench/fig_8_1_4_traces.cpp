@@ -59,12 +59,11 @@ FigureRun show(const char* figure, const char* caption, Variant v, App app) {
   nas::DriverOptions opt;
   opt.record_trace = true;
   opt.verify = false;
-  nas::RunResult r = nas::run_variant(v, pb, kProcs, sim::Machine::sp2(), opt);
+  nas::RunResult r = nas::run_variant(v, pb, kProcs, exec::Machine::sp2(), opt);
 
   std::printf("--- Figure %s: %s ---\n", figure, caption);
   std::printf("  simulated time: %.4f s   messages: %zu   volume: %.2f MB   busy: %.1f%%\n",
-              r.elapsed, r.stats.messages, r.stats.bytes / 1.0e6,
-              100.0 * r.stats.busy_fraction(kProcs));
+              r.elapsed, r.messages, r.bytes / 1.0e6, 100.0 * r.busy_fraction());
   std::printf("%s", r.trace.ascii_space_time(110).c_str());
   std::printf("  per-phase totals over all ranks (seconds):\n");
   std::printf("  %-14s %10s %10s %10s\n", "phase", "compute", "comm", "idle");
@@ -82,11 +81,11 @@ void figure_json(json::Writer& w, const FigureRun& f) {
   w.member("caption", f.caption);
   w.member("nprocs", kProcs);
   w.member("elapsed", r.elapsed);
-  w.member("messages", r.stats.messages);
-  w.member("bytes", r.stats.bytes);
-  w.member("busy_fraction", r.stats.busy_fraction(kProcs));
-  w.member("comm_fraction", r.stats.comm_fraction(kProcs));
-  w.member("idle_fraction", r.stats.idle_fraction(kProcs));
+  w.member("messages", r.messages);
+  w.member("bytes", r.bytes);
+  w.member("busy_fraction", r.busy_fraction());
+  w.member("comm_fraction", r.comm_fraction());
+  w.member("idle_fraction", r.idle_fraction());
 
   w.key("phases");
   w.begin_array();

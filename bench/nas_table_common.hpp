@@ -127,7 +127,7 @@ inline bool write_text_file(const std::string& path, const std::string& content)
 // ----------------------------------------------------------- JSON helpers
 
 /// Emit the machine cost-model constants as a JSON object value.
-inline void machine_json(json::Writer& w, const sim::Machine& m) {
+inline void machine_json(json::Writer& w, const exec::Machine& m) {
   w.begin_object();
   w.member("flop_time", m.flop_time);
   w.member("latency", m.latency);
@@ -197,23 +197,11 @@ inline std::optional<RunResult> run_cell(Variant v, const Problem& pb, int nproc
   opt.runtime.compute_mode = mp::ComputeMode::Sleep;
   opt.runtime.time_scale = kMpTimeScale;
   obs::ScopedTimer timer("bench.run_variant");
-  auto r = nas::run_variant(v, pb, nprocs, sim::Machine::sp2(), opt);
+  auto r = nas::run_variant(v, pb, nprocs, exec::Machine::sp2(), opt);
   DHPF_COUNTER("bench.cells_run");
-  DHPF_COUNTER_ADD("bench.sim_messages", r.stats.messages);
-  DHPF_COUNTER_ADD("bench.sim_bytes", r.stats.bytes);
+  DHPF_COUNTER_ADD("bench.sim_messages", r.messages);
+  DHPF_COUNTER_ADD("bench.sim_bytes", r.bytes);
   return r;
-}
-
-/// The time a cell is scored by: modelled seconds on sim, measured
-/// wall-clock seconds on the real backends (mp, shm).
-inline double scored_seconds(const RunResult& r) {
-  return r.backend == exec::Backend::Sim ? r.elapsed : r.wall_seconds;
-}
-
-inline std::optional<double> time_cell(Variant v, const Problem& pb, int nprocs,
-                                       exec::Backend backend = exec::Backend::Sim) {
-  auto r = run_cell(v, pb, nprocs, backend);
-  return r ? std::optional<double>(scored_seconds(*r)) : std::nullopt;
 }
 
 /// Paper reference efficiencies (relative to hand-written MPI) at square P.
@@ -229,7 +217,7 @@ inline void print_table(const char* title, const Problem& pa, const Problem& pb_
   std::printf("%s\n", title);
   if (args.backend == exec::Backend::Sim)
     std::printf("problem sizes: class %s n=%d, class %s n=%d, %d timestep(s); machine: simulated "
-                "IBM SP2 (see sim/machine.hpp)\n",
+                "IBM SP2 (see exec/machine.hpp)\n",
                 label_a, pa.n, label_b, pb_cls.n, pa.niter);
   else
     std::printf("problem sizes: class %s n=%d, class %s n=%d, %d timestep(s); backend: %s (real "
@@ -254,10 +242,10 @@ inline void print_table(const char* title, const Problem& pa, const Problem& pb_
     c.pgi_b = run_cell(Variant::PgiStyle, pb_cls, np, args.backend);
   }
   auto elapsed = [](const std::optional<RunResult>& r) {
-    return r ? std::optional<double>(scored_seconds(*r)) : std::nullopt;
+    return r ? std::optional<double>(r->seconds()) : std::nullopt;
   };
-  const double base_a = scored_seconds(grid[speedup_base_procs_a].hand_a.value());
-  const double base_b = scored_seconds(grid[speedup_base_procs_b].hand_b.value());
+  const double base_a = grid[speedup_base_procs_a].hand_a.value().seconds();
+  const double base_b = grid[speedup_base_procs_b].hand_b.value().seconds();
   auto speedup_a = [&](std::optional<double> t) {
     return t ? std::optional<double>(speedup_base_procs_a * base_a / *t) : std::nullopt;
   };
@@ -329,7 +317,7 @@ inline void print_table(const char* title, const Problem& pa, const Problem& pb_
   if (args.backend == exec::Backend::Mp) w.member("mp_time_scale", kMpTimeScale);
   if (args.backend == exec::Backend::Shm) w.member("shm_time_scale", kMpTimeScale);
   w.key("machine");
-  machine_json(w, sim::Machine::sp2());
+  machine_json(w, exec::Machine::sp2());
   w.key("classes");
   w.begin_array();
   for (const auto* p : {&pa, &pb_cls}) {
@@ -356,13 +344,13 @@ inline void print_table(const char* title, const Problem& pa, const Problem& pb_
     w.begin_object();
     w.member("elapsed", r->elapsed);
     w.member("wall_seconds", r->wall_seconds);
-    w.member("messages", r->stats.messages);
-    w.member("bytes", r->stats.bytes);
-    w.member("total_compute", r->stats.total_compute);
-    w.member("total_comm", r->stats.total_comm);
-    w.member("total_idle", r->stats.total_idle);
+    w.member("messages", r->messages);
+    w.member("bytes", r->bytes);
+    w.member("total_compute", r->total_compute);
+    w.member("total_comm", r->total_comm);
+    w.member("total_idle", r->total_idle);
     if (speedup) w.member("speedup", *speedup);
-    if (hand) w.member("efficiency_vs_hand", scored_seconds(*hand) / scored_seconds(*r));
+    if (hand) w.member("efficiency_vs_hand", hand->seconds() / r->seconds());
     w.end_object();
   };
   for (int np : procs) {

@@ -54,11 +54,11 @@ void run_case(const char* label, bool availability) {
   comm::CommOptions copt;
   copt.data_availability = availability;
   comm::CommPlan plan = comm::generate_comm(prog, cps, copt);
-  codegen::SpmdResult r = codegen::run_spmd(prog, cps, plan, sim::Machine::sp2());
-  std::printf("  %-24s %10.5f %9zu %10zu %8zu %10zu\n", label, r.elapsed, r.stats.messages,
-              r.stats.bytes, plan.active_fetches(), plan.eliminated_fetches());
-  g_samples.push_back(Sample{label, r.elapsed, r.stats.messages, r.stats.bytes,
-                             plan.active_fetches(), plan.eliminated_fetches()});
+  codegen::SpmdResult r = codegen::run_spmd(prog, cps, plan, exec::Machine::sp2());
+  std::printf("  %-24s %10.5f %9zu %10zu %8zu %10zu\n", label, r.elapsed, r.messages,
+              r.bytes, plan.active_fetches(), plan.eliminated_fetches());
+  g_samples.push_back(Sample{label, r.elapsed, r.messages, r.bytes, plan.active_fetches(),
+                             plan.eliminated_fetches()});
 }
 
 }  // namespace

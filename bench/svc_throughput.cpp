@@ -3,8 +3,9 @@
 // pipeline + pool + cache, not socket syscalls.
 //
 // Four phases:
-//   * scaling  — a fuzz-generated program set compiled cold (cache off) at
-//     1/2/4/8 workers: compiles/sec and p50/p99 request latency per point;
+//   * scaling  — a fuzz-generated program set compiled cold (cache off,
+//     set caches cleared per point) at 1/2/4/8 workers: compiles/sec and
+//     p50/p99 request latency per point;
 //   * warm     — the tuner's 48-variant flag cross product on one program,
 //     twice, cache on: the first pass misses 48 times, the second is pure
 //     hits (hit rate 0.5 over the run) — the dhpfc --tune scenario a
@@ -212,6 +213,9 @@ int main(int argc, char** argv) {
   std::printf("  %-8s %9s %12s %12s %12s\n", "workers", "requests", "compiles/s",
               "p50 ms", "p99 ms");
   for (int workers : {1, 2, 4, 8}) {
+    // Every point starts from cold set-algebra caches; otherwise the first
+    // point pays the misses for all the others.
+    iset::memo::clear_caches();
     svc::ServiceOptions opt;
     opt.workers = workers;
     opt.enable_cache = false;

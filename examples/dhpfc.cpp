@@ -57,22 +57,34 @@ int main(int argc, char** argv) {
     trace::Recorder::global().set_enabled(true);
     trace::Recorder::global().set_thread_label("compiler");
   }
-  auto write_trace = [&o]() -> bool {
-    if (o.trace_out.empty()) return true;
-    const std::string doc =
-        trace::chrome_trace_json(trace::Recorder::global().drain()) + "\n";
+  // Every exit after this point drains the recorder exactly once, after the
+  // mode's traced work has finished: the same snapshot feeds the trace
+  // file, the printed profile and the report-json "profile" section. A
+  // trace file that cannot be written turns the exit code into 1.
+  std::string profile_json_doc;
+  bool drained = false;
+  auto finish_trace = [&]() -> bool {
+    if (!tracing || drained) return true;
+    drained = true;
+    const trace::TraceDump dump = trace::Recorder::global().drain();
     if (o.trace_out == "-") {
-      std::fputs(doc.c_str(), stdout);
-      return true;
+      std::fputs((trace::chrome_trace_json(dump) + "\n").c_str(), stdout);
+    } else if (!o.trace_out.empty()) {
+      std::ofstream out(o.trace_out);
+      if (!out) {
+        std::fprintf(stderr, "dhpfc: cannot write %s\n", o.trace_out.c_str());
+        return false;
+      }
+      out << trace::chrome_trace_json(dump) << "\n";
     }
-    std::ofstream out(o.trace_out);
-    if (!out) {
-      std::fprintf(stderr, "dhpfc: cannot write %s\n", o.trace_out.c_str());
-      return false;
+    if (o.profile) {
+      const std::vector<trace::ProfileRow> rows = trace::profile(dump);
+      profile_json_doc = trace::profile_json(rows);
+      std::printf("\n---- span profile ----\n%s", trace::profile_text(rows).c_str());
     }
-    out << doc;
     return true;
   };
+  auto finish = [&](int rc) { return finish_trace() ? rc : 1; };
 
   if (!o.serve_socket.empty()) {
     // Daemon mode: dhpfc --serve=SOCK *is* dhpfd (same loop, same flags).
@@ -81,7 +93,7 @@ int main(int argc, char** argv) {
     sopt.service.workers = o.svc_workers;
     sopt.service.cache_entries = static_cast<std::size_t>(o.svc_cache);
     sopt.service.enable_cache = o.svc_cache > 0;
-    return svc::run_daemon(sopt, o.quiet);
+    return finish(svc::run_daemon(sopt, o.quiet));
   }
 
   if (!o.server_socket.empty()) {
@@ -92,7 +104,7 @@ int main(int argc, char** argv) {
       std::ifstream in(o.input);
       if (!in) {
         std::fprintf(stderr, "dhpfc: cannot open %s\n", o.input.c_str());
-        return 1;
+        return finish(1);
       }
       std::ostringstream src;
       src << in.rdbuf();
@@ -111,7 +123,7 @@ int main(int argc, char** argv) {
         if (!resp.ok) {
           std::fprintf(stderr, "dhpfc: server: [%s] %s\n", svc::to_string(resp.code),
                        resp.error.c_str());
-          return 1;
+          return finish(1);
         }
         std::printf("---- lint (%s) ----\n%s\n", resp.cached ? "cached" : "analyzed",
                     resp.lint_json.c_str());
@@ -119,7 +131,7 @@ int main(int argc, char** argv) {
         const bool errs =
             resp.lint_json.find("\"severity\":\"error\"") != std::string::npos ||
             resp.lint_json.find("\"severity\": \"error\"") != std::string::npos;
-        return errs ? 2 : 0;
+        return finish(errs ? 2 : 0);
       }
       base.kind = svc::Kind::Compile;
       base.id = batch.size() + 1;
@@ -171,10 +183,10 @@ int main(int argc, char** argv) {
             break;
         }
       }
-      return failed ? 1 : 0;
+      return finish(failed ? 1 : 0);
     } catch (const dhpf::Error& e) {
       std::fprintf(stderr, "dhpfc: %s\n", e.what());
-      return 1;
+      return finish(1);
     }
   }
 
@@ -224,18 +236,17 @@ int main(int argc, char** argv) {
                         f.minimized.c_str());
         failed = failed || !rep.ok();
       }
-      if (!write_trace()) return 1;
-      return failed ? 1 : 0;
+      return finish(failed ? 1 : 0);
     } catch (const dhpf::Error& e) {
       std::fprintf(stderr, "dhpfc: %s\n", e.what());
-      return 1;
+      return finish(1);
     }
   }
 
   std::ifstream in(o.input);
   if (!in) {
     std::fprintf(stderr, "dhpfc: cannot open %s\n", o.input.c_str());
-    return 1;
+    return finish(1);
   }
   std::ostringstream src;
   src << in.rdbuf();
@@ -266,7 +277,7 @@ int main(int argc, char** argv) {
             std::ofstream out(o.report_json);
             if (!out) {
               std::fprintf(stderr, "dhpfc: cannot write %s\n", o.report_json.c_str());
-              return 1;
+              return finish(1);
             }
             out << doc;
           }
@@ -284,11 +295,10 @@ int main(int argc, char** argv) {
           rc = 1;
         }
       }
-      if (!write_trace()) return 1;
-      return rc;
+      return finish(rc);
     } catch (const dhpf::Error& e) {
       std::fprintf(stderr, "dhpfc: %s\n", e.what());
-      return 1;
+      return finish(1);
     }
   }
 
@@ -342,13 +352,13 @@ int main(int argc, char** argv) {
     }
 
     // Model parameters: machine defaults unless a calibration file is given.
-    model::ModelParams mparams = model::ModelParams::from_machine(sim::Machine::sp2());
+    model::ModelParams mparams = model::ModelParams::from_machine(exec::Machine::sp2());
     if (!o.calibration_in.empty()) mparams = model::load_params(o.calibration_in);
 
     std::string model_json;
     if (o.model_report || !o.report_json.empty()) {
       const model::Prediction pred = model::predict(prog, compiled.cps, compiled.plan,
-                                                    sim::Machine::sp2(),
+                                                    exec::Machine::sp2(),
                                                     o.xopt.flops_per_instance);
       model_json = pred.to_json(mparams);
       if (o.model_report)
@@ -382,19 +392,18 @@ int main(int argc, char** argv) {
 
     if (o.run) {
       auto r =
-          codegen::run_spmd(prog, compiled.cps, compiled.plan, sim::Machine::sp2(), o.xopt);
+          codegen::run_spmd(prog, compiled.cps, compiled.plan, exec::Machine::sp2(), o.xopt);
       if (r.backend == exec::Backend::Sim) {
         std::printf("\n---- execution (simulated SP2) ----\n");
-        std::printf("  time %.6f s, %zu messages, %zu bytes\n", r.elapsed, r.stats.messages,
-                    r.stats.bytes);
+        std::printf("  time %.6f s, %zu messages, %zu bytes\n", r.elapsed, r.messages, r.bytes);
       } else if (r.backend == exec::Backend::Mp) {
         std::printf("\n---- execution (mp: real threads) ----\n");
-        std::printf("  wall %.6f s, %zu messages, %zu bytes\n", r.wall_seconds,
-                    r.stats.messages, r.stats.bytes);
+        std::printf("  wall %.6f s, %zu messages, %zu bytes\n", r.wall_seconds, r.messages,
+                    r.bytes);
       } else {
         std::printf("\n---- execution (shm: shared-memory threads) ----\n");
-        std::printf("  wall %.6f s, %zu barriers, %zu shared bytes\n", r.wall_seconds,
-                    r.runtime_stats.barriers, r.runtime_stats.shared_read_bytes);
+        std::printf("  wall %.6f s, %zu barriers, %zu shared bytes\n", r.wall_seconds, r.barriers,
+                    r.shared_read_bytes);
       }
       std::printf("  instances per rank:");
       for (auto n : r.instances_per_rank) std::printf(" %zu", n);
@@ -404,19 +413,8 @@ int main(int argc, char** argv) {
     if (o.report)
       std::printf("\n---- compile report ----\n%s", compiled.report.to_string().c_str());
 
-    // Drain once, after every traced producer (compile, verify, model, run)
-    // has finished; the same snapshot feeds the trace file, the printed
-    // profile, and the report-json "profile" section.
-    std::string profile_json_doc;
-    if (tracing) {
-      if (!write_trace()) return 1;
-      if (o.profile) {
-        const std::vector<trace::ProfileRow> rows =
-            trace::profile(trace::Recorder::global().drain());
-        profile_json_doc = trace::profile_json(rows);
-        std::printf("\n---- span profile ----\n%s", trace::profile_text(rows).c_str());
-      }
-    }
+    // Every traced producer (compile, verify, model, run) has finished.
+    if (!finish_trace()) return 1;
 
     if (!o.report_json.empty()) {
       json::Writer w(/*pretty=*/true);
@@ -463,10 +461,10 @@ int main(int argc, char** argv) {
     if (violations) return 1;
   } catch (const dhpf::Error& e) {
     std::fprintf(stderr, "dhpfc: %s\n", e.what());
-    return 1;
+    return finish(1);
   } catch (const std::exception& e) {
     std::fprintf(stderr, "dhpfc: internal error: %s\n", e.what());
-    return 1;
+    return finish(1);
   }
   return 0;
 }

@@ -56,10 +56,9 @@ void run_grid(int py, int pz, bool localize) {
   cp::SelectOptions sopt;
   sopt.localize = localize;
   auto compiled = codegen::compile_source(program_text(py, pz), &prog, sopt);
-  auto r = codegen::run_spmd(prog, compiled.cps, compiled.plan, sim::Machine::sp2());
+  auto r = codegen::run_spmd(prog, compiled.cps, compiled.plan, exec::Machine::sp2());
   std::printf("  %2dx%-2d  %-9s %12.6f %9zu %10zu   %.1e\n", py, pz,
-              localize ? "LOCALIZE" : "owner", r.elapsed, r.stats.messages, r.stats.bytes,
-              r.max_err);
+              localize ? "LOCALIZE" : "owner", r.elapsed, r.messages, r.bytes, r.max_err);
 }
 
 }  // namespace

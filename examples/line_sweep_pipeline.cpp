@@ -38,13 +38,13 @@ int main() {
     codegen::SpmdOptions ropt;
     ropt.record_trace = true;
     ropt.flops_per_instance = 3000.0;  // make compute visible next to latency
-    auto r = codegen::run_spmd(prog, compiled.cps, compiled.plan, sim::Machine::sp2(), ropt);
+    auto r = codegen::run_spmd(prog, compiled.cps, compiled.plan, exec::Machine::sp2(), ropt);
 
     std::printf("--- data availability %s ---\n", avail ? "ON (sec 7)" : "OFF");
     std::printf("  fetch events: %zu active, %zu eliminated\n",
                 compiled.plan.active_fetches(), compiled.plan.eliminated_fetches());
     std::printf("  simulated time %.5f s, %zu msgs, %zu bytes, max err %.1e\n", r.elapsed,
-                r.stats.messages, r.stats.bytes, r.max_err);
+                r.messages, r.bytes, r.max_err);
     std::printf("%s\n", r.trace.ascii_space_time(90).c_str());
   }
 

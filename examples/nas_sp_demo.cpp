@@ -27,10 +27,9 @@ int main() {
   for (Variant v : {Variant::HandMPI, Variant::DhpfStyle, Variant::PgiStyle}) {
     nas::DriverOptions opt;
     opt.record_trace = (v == Variant::DhpfStyle);
-    nas::RunResult r = nas::run_variant(v, pb, 9, sim::Machine::sp2(), opt);
+    nas::RunResult r = nas::run_variant(v, pb, 9, exec::Machine::sp2(), opt);
     std::printf("  %-22s %10.4f %9zu %10.3f %7.1f%% %9.1e\n", nas::to_string(v), r.elapsed,
-                r.stats.messages, r.stats.bytes / 1.0e6, 100.0 * r.stats.busy_fraction(9),
-                r.max_err);
+                r.messages, r.bytes / 1.0e6, 100.0 * r.busy_fraction(), r.max_err);
     if (opt.record_trace) {
       std::printf("\n  dHPF-style space-time diagram (pipelined y/z solves visible):\n%s\n",
                   r.trace.ascii_space_time(90).c_str());

@@ -48,9 +48,9 @@ int main() {
 
   std::printf("---- execution on the simulated SP2 (4 processors) ----\n");
   codegen::SpmdResult r =
-      codegen::run_spmd(prog, compiled.cps, compiled.plan, sim::Machine::sp2());
+      codegen::run_spmd(prog, compiled.cps, compiled.plan, exec::Machine::sp2());
   std::printf("  simulated time: %.6f s\n", r.elapsed);
-  std::printf("  messages: %zu, volume: %zu bytes\n", r.stats.messages, r.stats.bytes);
+  std::printf("  messages: %zu, volume: %zu bytes\n", r.messages, r.bytes);
   std::printf("  statement instances per rank:");
   for (auto n : r.instances_per_rank) std::printf(" %zu", n);
   std::printf("\n  verified against serial interpretation: max |err| = %.2e\n", r.max_err);

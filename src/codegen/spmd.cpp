@@ -1,7 +1,6 @@
 #include "codegen/spmd.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <cmath>
 #include <functional>
 #include <limits>
@@ -486,7 +485,7 @@ std::size_t SpmdResult::total_instances() const {
 }
 
 SpmdResult run_spmd(const hpf::Program& prog, const cp::CpResult& cps,
-                    const comm::CommPlan& plan, const sim::Machine& machine,
+                    const comm::CommPlan& plan, const exec::Machine& machine,
                     const SpmdOptions& opt) {
   const hpf::Procedure* main_proc = prog.find_procedure("main");
   require(main_proc != nullptr, "codegen", "program must define procedure main");
@@ -584,31 +583,15 @@ SpmdResult run_spmd(const hpf::Program& prog, const cp::CpResult& cps,
     }(p, ctx, main_proc);
   };
 
+  // On mp/shm the ranks are real threads: safe because every rank touches
+  // only its own slot of ctx.stores / ctx.instances and the event caches
+  // are read-only here; on shm the cross-rank store accesses in
+  // exec_event's shared-memory path are bracketed by barriers and disjoint
+  // by ownership.
   SpmdResult result;
-  result.backend = opt.backend;
-  if (opt.backend == exec::Backend::Sim) {
-    DHPF_TRACE_SPAN("exec.sim", trace::Kind::Phase);
-    const auto t0 = std::chrono::steady_clock::now();
-    sim::Engine engine(nprocs, machine, opt.record_trace);
-    engine.run(body);
-    result.wall_seconds =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
-    result.elapsed = engine.elapsed();
-    result.stats = engine.stats();
-    if (opt.record_trace) result.trace = engine.trace();
-  } else {
-    // Real threads: safe because every rank touches only its own slot of
-    // ctx.stores / ctx.instances and the event caches are read-only here;
-    // on shm the cross-rank store accesses in exec_event's shared-memory
-    // path are bracketed by barriers and disjoint by ownership.
-    trace::Span span(opt.backend == exec::Backend::Mp ? "exec.mp" : "exec.shm",
-                     trace::Kind::Phase);
-    mp::Options ropt = opt.runtime;
-    ropt.machine = machine;
-    result.wall_seconds = mp::run(opt.backend, nprocs, ropt, body, &result.runtime_stats);
-    result.stats.messages = result.runtime_stats.messages;
-    result.stats.bytes = result.runtime_stats.bytes;
-  }
+  static_cast<exec::RunStats&>(result) =
+      mp::run(opt.backend, nprocs, machine, opt.runtime, body,
+              opt.record_trace ? &result.trace : nullptr);
   result.instances_per_rank = ctx.instances;
 
   if (opt.collect_result) {

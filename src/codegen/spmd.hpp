@@ -1,10 +1,10 @@
 // SPMD code generation and execution.
 //
-// The "generated node program" is executed directly: every simulated rank
-// interprets the HPF-lite program, guarding each statement instance by its
+// The "generated node program" is executed directly: every rank interprets
+// the HPF-lite program, guarding each statement instance by its
 // computation partitioning (ON_HOME membership for the rank's block bounds)
 // and performing the communication plan's fetch / write-back events with
-// real data on the simulated machine.
+// real data, on whichever backend mp::run is asked for (sim, mp or shm).
 //
 // Verification oracle: each rank's local storage is initialized to the
 // deterministic initial value only for elements it *owns* (plus fully
@@ -20,10 +20,11 @@
 
 #include "comm/comm.hpp"
 #include "cp/select.hpp"
+#include "exec/machine.hpp"
+#include "exec/stats.hpp"
 #include "hpf/ir.hpp"
 #include "mp/runtime.hpp"
-#include "sim/engine.hpp"
-#include "sim/machine.hpp"
+#include "sim/trace.hpp"
 
 namespace dhpf::codegen {
 
@@ -49,14 +50,11 @@ struct SpmdOptions {
   bool collect_result = false;
 };
 
-struct SpmdResult {
-  exec::Backend backend = exec::Backend::Sim;
-  double elapsed = 0.0;       ///< simulated seconds (sim backend; 0 on mp/shm)
-  double wall_seconds = 0.0;  ///< real (monotonic-clock) seconds of the run
-  sim::Stats stats;           ///< messages/bytes filled on every backend
-  sim::TraceLog trace;
-  mp::Stats runtime_stats;  ///< populated on the mp and shm backends
-  double max_err = -1.0;    ///< -1 when not verified
+/// The run's measurements (exec::RunStats, from mp::run) plus what
+/// run_spmd adds: the trace, the verification error and the gathered data.
+struct SpmdResult : exec::RunStats {
+  sim::TraceLog trace;    ///< with record_trace on sim
+  double max_err = -1.0;  ///< -1 when not verified
   /// Owner copies of the distributed arrays (with collect_result).
   Store gathered;
   /// Assignment instances executed per rank (replication / load metric).
@@ -67,7 +65,7 @@ struct SpmdResult {
 /// Execute the SPMD program implied by (cps, plan) on `nprocs` = the
 /// program's processor-grid size. Throws dhpf::Error if verification fails.
 SpmdResult run_spmd(const hpf::Program& prog, const cp::CpResult& cps,
-                    const comm::CommPlan& plan, const sim::Machine& machine,
+                    const comm::CommPlan& plan, const exec::Machine& machine,
                     const SpmdOptions& opt = {});
 
 /// Emit a human-readable pseudo-Fortran listing of the SPMD node program

@@ -1,15 +1,24 @@
 // Minimal coroutine task type for SPMD node programs.
 //
 // Each rank of an execution backend runs an `exec::Task` coroutine. Tasks
-// are eagerly-started by the backend, may co_await other Tasks (symmetric
-// transfer, so deep call chains do not grow the machine stack), and
-// propagate exceptions to the awaiter / the backend.
+// are started by the backend, may co_await other Tasks, and propagate
+// exceptions to the awaiter / the backend.
 //
-// The same coroutine runs on both backends: on the deterministic simulator
+// Awaiting a child runs it from inside the awaiter. A child that finishes
+// without suspending — every child on mp/shm, most on sim — returns there,
+// and the parent goes on without ever suspending, so any number of such
+// awaits in a row costs no stack. Only a child that suspended (a sim
+// receive) hands control back to its parent from its final suspend point,
+// by symmetric transfer. That transfer is a tail call in optimised builds
+// but a real call under some instrumentation (GCC with ASan), so the
+// stack it can grow is bounded by the nesting depth of awaits, never by
+// their count.
+//
+// The same coroutine runs on every backend: on the deterministic simulator
 // (src/sim) a blocking receive suspends the coroutine until the engine
-// schedules the matching message; on the real multi-threaded runtime
-// (src/mp) the receive blocks the rank's OS thread inside the awaiter and
-// the coroutine never actually suspends mid-receive.
+// schedules the matching message; on the threaded runtime (src/mp, modes
+// mp and shm) the receive blocks the rank's OS thread inside the awaiter
+// and the coroutine never actually suspends mid-receive.
 #pragma once
 
 #include <coroutine>
@@ -22,6 +31,9 @@ class [[nodiscard]] Task {
  public:
   struct promise_type {
     std::coroutine_handle<> continuation;  // who to resume when we finish
+    /// Set once the awaiter has seen this task suspend: the awaiting parent
+    /// is then suspended too, and finishing must resume it.
+    bool parent_suspended = false;
     std::exception_ptr exception;
 
     Task get_return_object() {
@@ -32,8 +44,11 @@ class [[nodiscard]] Task {
     struct FinalAwaiter {
       bool await_ready() noexcept { return false; }
       std::coroutine_handle<> await_suspend(std::coroutine_handle<promise_type> h) noexcept {
-        auto cont = h.promise().continuation;
-        return cont ? cont : std::noop_coroutine();
+        // Resume a suspended parent; otherwise (finished inline, or a root
+        // task) return to whoever resumed us: the parent's awaiter or the
+        // backend.
+        const promise_type& p = h.promise();
+        return p.parent_suspended ? p.continuation : std::noop_coroutine();
       }
       void await_resume() noexcept {}
     };
@@ -72,9 +87,14 @@ class [[nodiscard]] Task {
     struct Awaiter {
       std::coroutine_handle<promise_type> child;
       bool await_ready() const noexcept { return !child || child.done(); }
-      std::coroutine_handle<> await_suspend(std::coroutine_handle<> parent) noexcept {
+      bool await_suspend(std::coroutine_handle<> parent) noexcept {
         child.promise().continuation = parent;
-        return child;  // symmetric transfer into the child
+        child.resume();
+        if (child.done()) return false;  // finished inline: the parent goes on
+        // The child suspended; the backend resumes it later, on this thread
+        // (only sim suspends), and the child resumes the parent when done.
+        child.promise().parent_suspended = true;
+        return true;
       }
       void await_resume() const {
         if (child && child.promise().exception)

@@ -14,7 +14,7 @@
 #include "fuzz/rng.hpp"
 #include "hpf/parser.hpp"
 #include "model/model.hpp"
-#include "sim/machine.hpp"
+#include "exec/machine.hpp"
 #include "support/diagnostics.hpp"
 #include "tune/tune.hpp"
 #include "verify/plan.hpp"
@@ -143,7 +143,7 @@ DiffResult run_differential(const std::string& source, std::uint64_t seed,
   }
 
   const std::vector<tune::VariantSpec> variants = tune::enumerate_variants();
-  const sim::Machine machine = sim::Machine::sp2();
+  const exec::Machine machine = exec::Machine::sp2();
 
   for (std::size_t si = 0; si < shapes.size(); ++si) {
     // Fresh parse per shape: result stores are keyed by Array*, so the
@@ -246,11 +246,10 @@ DiffResult run_differential(const std::string& source, std::uint64_t seed,
       if (opt.check_model) {
         const model::Prediction pred =
             model::predict(prog, cps, plan, machine, xopt.flops_per_instance);
-        if (pred.messages != sim_run.stats.messages || pred.bytes != sim_run.stats.bytes) {
+        if (pred.messages != sim_run.messages || pred.bytes != sim_run.bytes) {
           std::ostringstream os;
           os << "model messages=" << pred.messages << " bytes=" << pred.bytes
-             << " vs sim messages=" << sim_run.stats.messages
-             << " bytes=" << sim_run.stats.bytes;
+             << " vs sim messages=" << sim_run.messages << " bytes=" << sim_run.bytes;
           return fail(FailKind::ModelCommMismatch, variant.name, shape, os.str());
         }
       }
@@ -293,14 +292,13 @@ DiffResult run_differential(const std::string& source, std::uint64_t seed,
         if (opt.check_model) {
           const model::Prediction pred =
               model::predict(prog, cps, plan, machine, xopt.flops_per_instance);
-          if (pred.barrier_episodes != shm_run.runtime_stats.barriers ||
-              static_cast<std::size_t>(pred.bytes) !=
-                  shm_run.runtime_stats.shared_read_bytes) {
+          if (pred.barrier_episodes != shm_run.barriers ||
+              static_cast<std::size_t>(pred.bytes) != shm_run.shared_read_bytes) {
             std::ostringstream os;
             os << "model barriers=" << pred.barrier_episodes
                << " shared bytes=" << pred.bytes
-               << " vs shm barriers=" << shm_run.runtime_stats.barriers
-               << " shared bytes=" << shm_run.runtime_stats.shared_read_bytes;
+               << " vs shm barriers=" << shm_run.barriers
+               << " shared bytes=" << shm_run.shared_read_bytes;
             return fail(FailKind::ModelCommMismatch, variant.name + " [shm]", shape,
                         os.str());
           }

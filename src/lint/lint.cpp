@@ -10,6 +10,7 @@
 #include "hpf/parser.hpp"
 #include "support/diagnostics.hpp"
 #include "support/metrics.hpp"
+#include "trace/trace.hpp"
 
 namespace dhpf::lint {
 
@@ -510,6 +511,7 @@ void check_privatizable(const hpf::Program& prog, const hpf::Procedure& proc, Re
 
 Report run(const hpf::Program& prog, const LintOptions& opt) {
   obs::ScopedTimer timer("lint.run");
+  DHPF_TRACE_SPAN("lint.run", trace::Kind::Phase);
   Report rep;
   for (const auto& proc : prog.procedures()) {
     if (opt.check_race) check_races(*proc, rep);

@@ -93,8 +93,8 @@ struct Prediction {
   std::vector<StmtCost> stmts;
   std::vector<EventCost> events;
 
-  // Totals (comparable to the executed run's Stats: messages, bytes,
-  // total_compute, total instance count).
+  // Totals (comparable to the executed run's exec::RunStats: messages,
+  // bytes, total_compute on sim, and SpmdResult's total instance count).
   std::size_t total_instances = 0;
   std::size_t messages = 0;
   std::size_t bytes = 0;
@@ -108,7 +108,7 @@ struct Prediction {
   // Shared-memory aggregates: on shm every event instance (outer-iteration
   // prefix with any non-local element) costs one barrier pair, and the
   // per-prefix critical rank is the one pulling the most shared bytes.
-  // barrier_episodes is exact (= the shm runtime's Stats::barriers for the
+  // barrier_episodes is exact (= an shm run's RunStats::barriers for the
   // same plan); total shared bytes equal `bytes` by construction (every
   // wire byte becomes a direct read).
   std::size_t barrier_episodes = 0;

@@ -16,6 +16,7 @@
 #include <string_view>
 #include <thread>
 
+#include "sim/engine.hpp"
 #include "support/diagnostics.hpp"
 #include "support/metrics.hpp"
 #include "trace/trace.hpp"
@@ -99,18 +100,18 @@ struct CentralBarrier {
 };
 
 /// want_src of a rank parked at the barrier. No receive can wait on it
-/// (recv_ready admits only kAnySource and 0..n-1), whereas any negative tag
+/// (recv_ready admits only exec::kAnySource and 0..n-1), whereas any negative tag
 /// could belong to a receive: the collectives use negative internal tags.
 constexpr int kBarrierSrc = -2;
 
 constexpr std::size_t kNpos = static_cast<std::size_t>(-1);
 
 /// First message (FIFO delivery order) matching (src, tag); src may be
-/// kAnySource. Caller holds the mailbox mutex.
+/// exec::kAnySource. Caller holds the mailbox mutex.
 std::size_t find_match(const Mailbox& box, int src, int tag) {
   for (std::size_t i = 0; i < box.q.size(); ++i) {
     const Message& m = box.q[i];
-    if ((src == kAnySource || m.src == src) && m.tag == tag) return i;
+    if ((src == exec::kAnySource || m.src == src) && m.tag == tag) return i;
   }
   return kNpos;
 }
@@ -150,7 +151,7 @@ class Endpoint final : public exec::Channel {
   /// Close the open phase interval; called once when the rank finishes.
   void finish();
 
-  RankStats stats;
+  exec::RankStats stats;
   /// phase -> total wall / blocked real seconds on this rank.
   std::map<std::string, double> phase_wall_;
   std::map<std::string, double> phase_wait_;
@@ -195,9 +196,9 @@ class Endpoint final : public exec::Channel {
 
 class Runtime {
  public:
-  Runtime(exec::Backend mode, int nranks, const Options& opt,
+  Runtime(exec::Backend mode, int nranks, const exec::Machine& machine, const Options& opt,
           const std::function<exec::Task(exec::Channel&)>& body)
-      : mode_(mode), names_(names_of(mode)), opt_(opt), body_(body) {
+      : mode_(mode), names_(names_of(mode)), machine_(machine), opt_(opt), body_(body) {
     require(nranks > 0, component(), "need at least one rank");
     boxes_ = std::make_unique<Mailbox[]>(static_cast<std::size_t>(nranks));
     endpoints_.reserve(static_cast<std::size_t>(nranks));
@@ -209,6 +210,7 @@ class Runtime {
   [[nodiscard]] const ModeNames& names() const { return names_; }
   [[nodiscard]] std::string_view component() const { return names_.prefix; }
   [[nodiscard]] int nranks() const { return static_cast<int>(endpoints_.size()); }
+  [[nodiscard]] const exec::Machine& machine() const { return machine_; }
   [[nodiscard]] const Options& options() const { return opt_; }
   [[nodiscard]] Mailbox& box(int rank) { return boxes_[static_cast<std::size_t>(rank)]; }
   [[nodiscard]] const Mailbox& box(int rank) const {
@@ -241,7 +243,7 @@ class Runtime {
     return barrier_epochs_.load(std::memory_order_acquire);
   }
 
-  double run(Stats* stats_out);
+  exec::RunStats run();
 
  private:
   void rank_main(int r);
@@ -249,10 +251,11 @@ class Runtime {
   /// One precise deadlock scan; fires the abort and returns true on deadlock.
   bool deadlock_scan();
   void abort_run(const std::string& msg);
-  void publish(const Stats& stats) const;
+  void publish(const exec::RunStats& stats) const;
 
   exec::Backend mode_;
   const ModeNames& names_;
+  const exec::Machine& machine_;
   Options opt_;
   const std::function<exec::Task(exec::Channel&)>& body_;
   std::unique_ptr<Mailbox[]> boxes_;
@@ -281,11 +284,11 @@ int Endpoint::nprocs() const { return rt_->nranks(); }
 
 double Endpoint::now() const { return seconds_between(rt_->start_time(), SteadyClock::now()); }
 
-const exec::Machine& Endpoint::machine() const { return rt_->options().machine; }
+const exec::Machine& Endpoint::machine() const { return rt_->machine(); }
 
 bool Endpoint::shared_memory() const { return rt_->mode() == exec::Backend::Shm; }
 
-void Endpoint::compute(double flops) { elapse(flops * rt_->options().machine.flop_time); }
+void Endpoint::compute(double flops) { elapse(flops * rt_->machine().flop_time); }
 
 void Endpoint::elapse(double seconds) {
   require(seconds >= 0.0, rt_->component(), "negative compute time");
@@ -359,7 +362,7 @@ void Endpoint::account_wait(SteadyClock::time_point start) {
 }
 
 bool Endpoint::recv_ready(int src, int tag) {
-  require(src == kAnySource || (src >= 0 && src < rt_->nranks()), rt_->component(),
+  require(src == exec::kAnySource || (src >= 0 && src < rt_->nranks()), rt_->component(),
           "recv: source rank out of range");
   flush_compute(false);
   trace::Span span(rt_->names().recv, trace::Kind::Recv);
@@ -564,7 +567,7 @@ void Runtime::watchdog_main() {
   }
 }
 
-double Runtime::run(Stats* stats_out) {
+exec::RunStats Runtime::run() {
   const int n = nranks();
   start_ = SteadyClock::now();
   std::vector<std::thread> threads;
@@ -599,11 +602,12 @@ double Runtime::run(Stats* stats_out) {
   }
   if (aborted_ranks) throw Error(component(), abort_message());
 
-  Stats stats;
+  exec::RunStats stats;
+  stats.backend = mode_;
   stats.wall_seconds = wall;
   stats.barriers = static_cast<std::size_t>(barrier_epochs());
   stats.ranks.reserve(static_cast<std::size_t>(n));
-  std::map<std::string, Stats::PhaseRow> phases;
+  std::map<std::string, exec::RunStats::PhaseRow> phases;
   for (int r = 0; r < n; ++r) {
     Endpoint& ep = *endpoints_[static_cast<std::size_t>(r)];
     stats.ranks.push_back(ep.stats);
@@ -611,7 +615,7 @@ double Runtime::run(Stats* stats_out) {
     stats.bytes += ep.stats.bytes_sent;
     stats.shared_read_bytes += ep.stats.shared_read_bytes;
     for (const auto& [name, wall_s] : ep.phase_wall_) {
-      Stats::PhaseRow& row = phases[name];
+      exec::RunStats::PhaseRow& row = phases[name];
       row.phase = name;
       const auto wit = ep.phase_wait_.find(name);
       const double wait_s = wit == ep.phase_wait_.end() ? 0.0 : wit->second;
@@ -621,12 +625,10 @@ double Runtime::run(Stats* stats_out) {
   }
   for (auto& [name, row] : phases) stats.phases.push_back(row);
   publish(stats);
-
-  if (stats_out) *stats_out = std::move(stats);
-  return wall;
+  return stats;
 }
 
-void Runtime::publish(const Stats& stats) const {
+void Runtime::publish(const exec::RunStats& stats) const {
   // Observability: the counters/gauges/timers the benches and obs docs
   // read, named under the mode's prefix.
   obs::Registry& reg = obs::Registry::global();
@@ -639,7 +641,7 @@ void Runtime::publish(const Stats& stats) const {
     reg.add("shm.shared_bytes", stats.shared_read_bytes);
   }
   for (std::size_t r = 0; r < stats.ranks.size(); ++r) {
-    const RankStats& rs = stats.ranks[r];
+    const exec::RankStats& rs = stats.ranks[r];
     const std::string prefix = m + ".rank" + std::to_string(r);
     reg.set_gauge(prefix + ".sends", static_cast<double>(rs.sends));
     reg.set_gauge(prefix + ".recvs", static_cast<double>(rs.recvs));
@@ -670,19 +672,23 @@ double watchdog_period_from_env(double fallback) {
   return ms <= 0.0 ? 0.0 : ms / 1000.0;
 }
 
-double run(exec::Backend mode, int nranks, const Options& opt,
-           const std::function<exec::Task(exec::Channel&)>& body, Stats* stats_out) {
-  require(mode != exec::Backend::Sim, "mp",
-          "run: sim is not a threaded mode (use sim::Engine)");
+exec::RunStats run(exec::Backend backend, int nranks, const exec::Machine& machine,
+                   const Options& opt, const std::function<exec::Task(exec::Channel&)>& body,
+                   sim::TraceLog* trace) {
+  trace::Span span(std::string("exec.") + exec::to_string(backend), trace::Kind::Phase);
+  if (backend == exec::Backend::Sim) {
+    const auto t0 = SteadyClock::now();
+    sim::Engine engine(nranks, machine, trace != nullptr);
+    engine.run([&](sim::Process& p) { return body(p); });
+    exec::RunStats stats = engine.stats();
+    stats.wall_seconds = seconds_between(t0, SteadyClock::now());
+    if (trace != nullptr) *trace = engine.trace();
+    return stats;
+  }
   Options effective = opt;
   effective.watchdog_period_s = watchdog_period_from_env(opt.watchdog_period_s);
-  Runtime rt(mode, nranks, effective, body);
-  return rt.run(stats_out);
-}
-
-double run(exec::Backend mode, int nranks,
-           const std::function<exec::Task(exec::Channel&)>& body, Stats* stats_out) {
-  return run(mode, nranks, Options{}, body, stats_out);
+  Runtime rt(backend, nranks, machine, effective, body);
+  return rt.run();
 }
 
 }  // namespace dhpf::mp

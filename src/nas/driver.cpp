@@ -1,6 +1,5 @@
 #include "nas/driver.hpp"
 
-#include <chrono>
 #include <cmath>
 
 #include "nas/hand_mpi.hpp"
@@ -28,7 +27,7 @@ bool variant_supports(Variant v, int nprocs) {
   return true;
 }
 
-RunResult run_variant(Variant v, const Problem& pb, int nprocs, const sim::Machine& machine,
+RunResult run_variant(Variant v, const Problem& pb, int nprocs, const exec::Machine& machine,
                       const DriverOptions& opt) {
   require(variant_supports(v, nprocs), "nas",
           std::string(to_string(v)) + " does not support this processor count");
@@ -40,7 +39,6 @@ RunResult run_variant(Variant v, const Problem& pb, int nprocs, const sim::Machi
   init_u(pb, gathered, pb.domain());
 
   RunResult result;
-  result.backend = opt.backend;
   const auto body = [&](exec::Channel& p) -> exec::Task {
     switch (v) {
       case Variant::HandMPI: return run_hand_mpi(p, pb, &gathered, &result.norm);
@@ -50,26 +48,13 @@ RunResult run_variant(Variant v, const Problem& pb, int nprocs, const sim::Machi
     }
   };
 
-  if (opt.backend == exec::Backend::Sim) {
-    const auto t0 = std::chrono::steady_clock::now();
-    sim::Engine engine(nprocs, machine, opt.record_trace);
-    engine.run(body);
-    result.wall_seconds =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
-    result.elapsed = engine.elapsed();
-    result.stats = engine.stats();
-    if (opt.record_trace) result.trace = engine.trace();
-  } else {
-    // Real execution: ranks race on the gather field, but every rank writes
-    // only its own owned box (disjoint), so no synchronization is needed.
-    // The NAS node programs are message-passing codes; on shm they run
-    // unchanged over the mailbox path.
-    mp::Options ropt = opt.runtime;
-    ropt.machine = machine;
-    result.wall_seconds = mp::run(opt.backend, nprocs, ropt, body, &result.runtime_stats);
-    result.stats.messages = result.runtime_stats.messages;
-    result.stats.bytes = result.runtime_stats.bytes;
-  }
+  // On mp/shm ranks race on the gather field, but every rank writes only
+  // its own owned box (disjoint), so no synchronization is needed. The NAS
+  // node programs are message-passing codes; on shm they run unchanged over
+  // the mailbox path.
+  static_cast<exec::RunStats&>(result) =
+      mp::run(opt.backend, nprocs, machine, opt.runtime, body,
+              opt.record_trace ? &result.trace : nullptr);
 
   if (opt.verify) {
     SerialApp reference(pb);

@@ -9,11 +9,12 @@
 #include <optional>
 #include <string>
 
+#include "exec/machine.hpp"
+#include "exec/stats.hpp"
 #include "mp/runtime.hpp"
 #include "nas/dhpf_style.hpp"
 #include "nas/problem.hpp"
-#include "sim/engine.hpp"
-#include "sim/machine.hpp"
+#include "sim/trace.hpp"
 
 namespace dhpf::nas {
 
@@ -21,15 +22,12 @@ enum class Variant { HandMPI, DhpfStyle, PgiStyle };
 
 const char* to_string(Variant v);
 
-struct RunResult {
-  exec::Backend backend = exec::Backend::Sim;
-  double elapsed = 0.0;       ///< simulated seconds (sim backend; 0 on mp/shm)
-  double wall_seconds = 0.0;  ///< real (monotonic-clock) seconds of the run
-  sim::Stats stats;           ///< messages/bytes filled on every backend
-  sim::TraceLog trace;        ///< populated when record_trace was requested
-  mp::Stats runtime_stats;    ///< populated on the mp and shm backends
-  double max_err = -1.0;      ///< vs serial reference; -1 when not verified
-  double norm = 0.0;          ///< allreduced interior RMS of u (collective)
+/// The run's measurements (exec::RunStats, from mp::run) plus the trace
+/// and the verification against the serial reference.
+struct RunResult : exec::RunStats {
+  sim::TraceLog trace;    ///< populated when record_trace was requested
+  double max_err = -1.0;  ///< vs serial reference; -1 when not verified
+  double norm = 0.0;      ///< allreduced interior RMS of u (collective)
   bool verified = false;
 };
 
@@ -45,7 +43,7 @@ struct DriverOptions {
 bool variant_supports(Variant v, int nprocs);
 
 /// Run one variant at `nprocs` on `machine`. Throws dhpf::Error on failure.
-RunResult run_variant(Variant v, const Problem& pb, int nprocs, const sim::Machine& machine,
+RunResult run_variant(Variant v, const Problem& pb, int nprocs, const exec::Machine& machine,
                       const DriverOptions& opt = {});
 
 }  // namespace dhpf::nas

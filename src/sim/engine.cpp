@@ -11,22 +11,22 @@ namespace {
 constexpr std::size_t kNpos = std::numeric_limits<std::size_t>::max();
 
 bool matches(const Message& m, int src, int tag) {
-  return (src == kAnySource || m.src == src) && m.tag == tag;
+  return (src == exec::kAnySource || m.src == src) && m.tag == tag;
 }
 }  // namespace
 
 // ---------------------------------------------------------------- Process
 
 int Process::nprocs() const { return engine_->nprocs(); }
-const Machine& Process::machine() const { return engine_->machine_; }
+const exec::Machine& Process::machine() const { return engine_->machine_; }
 
 void Process::record(double start, double end, IntervalKind kind, int peer) {
   if (end <= start) return;
   switch (kind) {
-    case IntervalKind::Compute: acc_compute_ += end - start; break;
+    case IntervalKind::Compute: stats_.compute_seconds += end - start; break;
     case IntervalKind::Send:
-    case IntervalKind::Recv: acc_comm_ += end - start; break;
-    case IntervalKind::Idle: acc_idle_ += end - start; break;
+    case IntervalKind::Recv: stats_.comm_seconds += end - start; break;
+    case IntervalKind::Idle: stats_.wait_seconds += end - start; break;
   }
   if (engine_->record_trace_)
     engine_->trace_.ranks[static_cast<std::size_t>(rank_)].intervals.push_back(
@@ -43,7 +43,7 @@ void Process::elapse(double seconds) {
 
 void Process::send(int dst, int tag, std::vector<double> data) {
   require(dst >= 0 && dst < nprocs(), "sim", "send: destination rank out of range");
-  const Machine& m = engine_->machine_;
+  const exec::Machine& m = engine_->machine_;
   const std::size_t bytes = data.size() * sizeof(double);
   const double busy = m.send_overhead + static_cast<double>(bytes) * m.byte_time;
   const double arrival = clock_ + m.send_overhead + m.latency +
@@ -52,8 +52,8 @@ void Process::send(int dst, int tag, std::vector<double> data) {
   if (engine_->record_trace_)
     engine_->trace_.messages.push_back(MessageRecord{rank_, dst, tag, bytes, clock_, arrival});
   clock_ += busy;
-  engine_->stats_.messages += 1;
-  engine_->stats_.bytes += bytes;
+  ++stats_.sends;
+  stats_.bytes_sent += bytes;
   engine_->deliver(dst, Message{rank_, tag, std::move(data), arrival});
 }
 
@@ -85,7 +85,9 @@ std::vector<double> Process::recv_complete(int src, int tag) {
   Message msg = std::move(mailbox_[static_cast<std::size_t>(idx)]);
   mailbox_.erase(mailbox_.begin() + static_cast<std::ptrdiff_t>(idx));
 
-  const Machine& m = engine_->machine_;
+  ++stats_.recvs;
+  stats_.bytes_received += msg.data.size() * sizeof(double);
+  const exec::Machine& m = engine_->machine_;
   const double ready = std::max(clock_, msg.arrival);
   record(clock_, ready, IntervalKind::Idle, msg.src);
   record(ready, ready + m.recv_overhead, IntervalKind::Recv, msg.src);
@@ -95,7 +97,7 @@ std::vector<double> Process::recv_complete(int src, int tag) {
 
 // ----------------------------------------------------------------- Engine
 
-Engine::Engine(int nprocs, Machine machine, bool record_trace)
+Engine::Engine(int nprocs, exec::Machine machine, bool record_trace)
     : machine_(machine), record_trace_(record_trace) {
   require(nprocs > 0, "sim", "need at least one process");
   procs_.resize(static_cast<std::size_t>(nprocs));
@@ -106,32 +108,27 @@ Engine::Engine(int nprocs, Machine machine, bool record_trace)
   if (record_trace_) trace_.ranks.resize(static_cast<std::size_t>(nprocs));
 }
 
-Process& Engine::proc(int rank) {
-  require(rank >= 0 && rank < nprocs(), "sim", "rank out of range");
-  return procs_[static_cast<std::size_t>(rank)];
-}
-
 void Engine::deliver(int dst, Message msg) {
   Process& p = procs_[static_cast<std::size_t>(dst)];
   p.mailbox_.push_back(std::move(msg));
   if (p.blocked_ && p.find_match(p.want_src_, p.want_tag_) != kNpos) p.blocked_ = false;
 }
 
-void Engine::run(const std::function<Task(Process&)>& body) {
+void Engine::run(const std::function<exec::Task(Process&)>& body) {
   const int n = nprocs();
-  std::vector<Task> roots;
+  std::vector<exec::Task> roots;
   roots.reserve(static_cast<std::size_t>(n));
   for (int r = 0; r < n; ++r) {
     Process& p = procs_[static_cast<std::size_t>(r)];
     p.clock_ = 0.0;
     p.blocked_ = false;
     p.done_ = false;
-    p.acc_compute_ = p.acc_comm_ = p.acc_idle_ = 0.0;
+    p.stats_ = exec::RankStats{};
     p.mailbox_.clear();
     roots.push_back(body(p));
     p.resume_point_ = roots.back().handle();
   }
-  stats_ = Stats{};
+  stats_ = exec::RunStats{};
 
   while (true) {
     // Pick the runnable (not done, not blocked) rank with the lowest clock.
@@ -149,7 +146,7 @@ void Engine::run(const std::function<Task(Process&)>& body) {
     handle.resume();
     // Control returns when the rank blocked again or its root completed.
     if (!p.blocked_) {
-      const Task& root = roots[static_cast<std::size_t>(pick)];
+      const exec::Task& root = roots[static_cast<std::size_t>(pick)];
       require(root.done(), "sim", "rank returned control while neither blocked nor done");
       p.done_ = true;
       try {
@@ -172,23 +169,17 @@ void Engine::run(const std::function<Task(Process&)>& body) {
   }
   if (deadlock) fail("sim", "deadlock:" + dead.str());
 
+  stats_.ranks.reserve(static_cast<std::size_t>(n));
   for (int r = 0; r < n; ++r) {
     const Process& p = procs_[static_cast<std::size_t>(r)];
     stats_.elapsed = std::max(stats_.elapsed, p.clock_);
-    stats_.total_compute += p.acc_compute_;
-    stats_.total_comm += p.acc_comm_;
-    stats_.total_idle += p.acc_idle_;
+    stats_.messages += p.stats_.sends;
+    stats_.bytes += p.stats_.bytes_sent;
+    stats_.total_compute += p.stats_.compute_seconds;
+    stats_.total_comm += p.stats_.comm_seconds;
+    stats_.total_idle += p.stats_.wait_seconds;
+    stats_.ranks.push_back(p.stats_);
   }
-}
-
-double run_spmd(int nprocs, const Machine& machine,
-                const std::function<Task(Process&)>& body, Stats* stats_out,
-                TraceLog* trace_out) {
-  Engine engine(nprocs, machine, trace_out != nullptr);
-  engine.run(body);
-  if (stats_out) *stats_out = engine.stats();
-  if (trace_out) *trace_out = engine.trace();
-  return engine.elapsed();
 }
 
 }  // namespace dhpf::sim

@@ -13,9 +13,9 @@
 // Deadlock (all unfinished ranks blocked) raises dhpf::Error with a
 // description of every blocked rank.
 //
-// The real-hardware counterpart of this backend is the threaded runtime,
-// mp::run in its mp and shm modes; node programs written against
-// exec::Channel run unmodified on any of them.
+// Runs are normally started through mp::run(exec::Backend::Sim, ...), the
+// one entry point for every backend; node programs written against
+// exec::Channel run unmodified on sim, mp and shm.
 #pragma once
 
 #include <coroutine>
@@ -27,16 +27,12 @@
 #include <vector>
 
 #include "exec/channel.hpp"
-#include "sim/machine.hpp"
-#include "sim/task.hpp"
+#include "exec/machine.hpp"
+#include "exec/stats.hpp"
+#include "exec/task.hpp"
 #include "sim/trace.hpp"
 
 namespace dhpf::sim {
-
-/// Wildcard source for Process::recv (same value as exec::kAnySource).
-inline constexpr int kAnySource = exec::kAnySource;
-
-using Request = exec::Request;
 
 /// An in-flight or delivered message.
 struct Message {
@@ -54,7 +50,7 @@ class Process final : public exec::Channel {
   [[nodiscard]] int rank() const override { return rank_; }
   [[nodiscard]] int nprocs() const override;
   [[nodiscard]] double now() const override { return clock_; }
-  [[nodiscard]] const Machine& machine() const override;
+  [[nodiscard]] const exec::Machine& machine() const override;
 
   /// Advance the local clock by `flops` floating-point operations.
   void compute(double flops) override;
@@ -100,48 +96,39 @@ class Process final : public exec::Channel {
   bool done_ = false;
 
   // accumulators (kept even when interval tracing is off)
-  double acc_compute_ = 0.0;
-  double acc_comm_ = 0.0;
-  double acc_idle_ = 0.0;
+  exec::RankStats stats_;
 };
 
 class Engine {
  public:
   /// `record_trace` enables full interval/message logs (space-time diagrams).
-  Engine(int nprocs, Machine machine, bool record_trace = false);
+  Engine(int nprocs, exec::Machine machine, bool record_trace = false);
 
   Engine(const Engine&) = delete;
   Engine& operator=(const Engine&) = delete;
 
   [[nodiscard]] int nprocs() const { return static_cast<int>(procs_.size()); }
-  [[nodiscard]] Process& proc(int rank);
-  [[nodiscard]] const Machine& machine() const { return machine_; }
 
   /// Run `body(proc)` on every rank to completion. Throws dhpf::Error on
   /// deadlock or if any rank's coroutine throws.
-  void run(const std::function<Task(Process&)>& body);
+  void run(const std::function<exec::Task(Process&)>& body);
 
-  /// Simulated wall time of the last run (max final clock over ranks).
-  [[nodiscard]] double elapsed() const { return stats_.elapsed; }
-  [[nodiscard]] const Stats& stats() const { return stats_; }
+  /// The last run's counts, virtual-time totals and simulated wall time
+  /// (`elapsed`, the max final clock over ranks); wall_seconds is left to
+  /// the caller, mp::run, which times the whole run.
+  [[nodiscard]] const exec::RunStats& stats() const { return stats_; }
   [[nodiscard]] const TraceLog& trace() const { return trace_; }
-  [[nodiscard]] bool tracing() const { return record_trace_; }
 
  private:
   friend class Process;
 
   void deliver(int dst, Message msg);
 
-  Machine machine_;
+  exec::Machine machine_;
   bool record_trace_;
   std::deque<Process> procs_;  // deque: stable addresses
   TraceLog trace_;
-  Stats stats_;
+  exec::RunStats stats_;
 };
-
-/// Convenience one-shot runner. Returns simulated elapsed seconds.
-double run_spmd(int nprocs, const Machine& machine,
-                const std::function<Task(Process&)>& body, Stats* stats_out = nullptr,
-                TraceLog* trace_out = nullptr);
 
 }  // namespace dhpf::sim

@@ -3,11 +3,11 @@
 // The simulator records, per rank, a sequence of labelled time intervals
 // (compute / send / recv / idle) plus a global message log. From these we
 // render ASCII space-time diagrams in the style of the paper's Figures
-// 8.1-8.4, compute the summary statistics (busy fraction, message counts
-// and volumes) the evaluation discusses, and export structured artifacts:
-// CSV interval/message dumps, a src x dst message matrix, per-phase
-// critical-path estimates, idle-time attribution by blocking sender, and
-// Chrome trace-event JSON loadable in chrome://tracing or Perfetto.
+// 8.1-8.4 and export structured artifacts: CSV interval/message dumps, a
+// src x dst message matrix, per-phase critical-path estimates, idle-time
+// attribution by blocking sender, and Chrome trace-event JSON loadable in
+// chrome://tracing or Perfetto. The run's summary statistics (busy
+// fraction, message counts and volumes) are exec::RunStats.
 #pragma once
 
 #include <cstdint>
@@ -43,43 +43,6 @@ struct MessageRecord {
 
 struct RankTrace {
   std::vector<Interval> intervals;
-};
-
-/// Aggregate statistics over a run.
-///
-/// Units: all times are simulated seconds summed over ranks, so each total
-/// lies in [0, elapsed * nprocs]. `total_comm` counts send+recv software
-/// *overhead* only (the sender/receiver busy intervals of the machine
-/// model); time spent waiting for a message that has not yet arrived is
-/// `total_idle`, and wire latency/bandwidth time overlaps with whatever the
-/// ranks do meanwhile, so the three fractions below always sum to <= 1
-/// (ranks that finish before `elapsed` leave untracked tail time).
-struct Stats {
-  std::size_t messages = 0;
-  std::size_t bytes = 0;
-  double total_compute = 0.0;  ///< sum over ranks of compute seconds
-  double total_comm = 0.0;     ///< sum over ranks of send+recv overhead seconds
-  double total_idle = 0.0;     ///< sum over ranks of recv-wait seconds
-  double elapsed = 0.0;        ///< max final clock over ranks
-
-  /// Fraction of rank-time spent computing (load-balance/efficiency proxy).
-  [[nodiscard]] double busy_fraction(int nprocs) const {
-    return fraction(total_compute, nprocs);
-  }
-  /// Fraction of rank-time spent in message send/recv overhead.
-  [[nodiscard]] double comm_fraction(int nprocs) const {
-    return fraction(total_comm, nprocs);
-  }
-  /// Fraction of rank-time spent blocked waiting for messages.
-  [[nodiscard]] double idle_fraction(int nprocs) const {
-    return fraction(total_idle, nprocs);
-  }
-
- private:
-  [[nodiscard]] double fraction(double total, int nprocs) const {
-    const double denom = elapsed * nprocs;
-    return denom > 0.0 ? total / denom : 0.0;
-  }
 };
 
 /// Full trace of a run (present when the engine was created with tracing on).

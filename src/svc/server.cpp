@@ -117,7 +117,8 @@ struct Server::Impl {
   int listen_fd = -1;
   std::thread accept_thread;
 
-  std::mutex mu;  ///< guards conns (fds + done flags), stopped and accepted
+  std::mutex mu;                      ///< guards conns (fds + done flags), stopped and accepted
+  std::condition_variable conn_done;  ///< signalled when a serve thread retires
   struct Conn {
     int fd = -1;      ///< -1 once the serve thread has closed it
     bool done = false; ///< serve thread finished (fd closed); safe to join
@@ -218,6 +219,7 @@ void Server::Impl::serve_connection(Conn& conn, std::uint64_t index) {
   ::close(fd);
   conn.fd = -1;
   conn.done = true;
+  conn_done.notify_all();
 }
 
 Server::Server(const ServerOptions& opt) : impl_(std::make_unique<Impl>(opt)) {
@@ -243,13 +245,30 @@ void Server::stop() {
   if (impl_->accept_thread.joinable()) impl_->accept_thread.join();
   // Written only after the join: the accept loop reads listen_fd unlocked.
   impl_->listen_fd = -1;
-  // 2. Unblock connection readers; their flush waits cover queued work.
-  //    A finished serve thread has already set its fd to -1 under mu, so a
-  //    descriptor number the kernel recycled is never shut down here.
+  // 2. Unblock connection readers. A finished serve thread has already set
+  //    its fd to -1 under mu, so a descriptor number the kernel recycled is
+  //    never shut down here (nor in step 4).
   {
     std::lock_guard<std::mutex> lock(impl_->mu);
     for (Impl::Conn& c : impl_->conns)
       if (!c.done && c.fd >= 0) ::shutdown(c.fd, SHUT_RD);
+  }
+  // 3. Finish the work in flight: every request read has its response
+  //    queued on its connection after this.
+  impl_->service.drain();
+  // 4. Let the writers flush for kDrainGrace. A connection still open after
+  //    that belongs to a client that is not reading: shutting it down fails
+  //    its writer's blocked write, and the writer drops the rest.
+  {
+    std::unique_lock<std::mutex> lock(impl_->mu);
+    const auto all_done = [&] {
+      for (const Impl::Conn& c : impl_->conns)
+        if (!c.done) return false;
+      return true;
+    };
+    if (!impl_->conn_done.wait_for(lock, kDrainGrace, all_done))
+      for (Impl::Conn& c : impl_->conns)
+        if (!c.done && c.fd >= 0) ::shutdown(c.fd, SHUT_RDWR);
   }
   // Join without holding mu (serve threads take it to retire their entry).
   // The accept thread is gone and serve threads never add or remove list
@@ -257,9 +276,6 @@ void Server::stop() {
   for (Impl::Conn& c : impl_->conns)
     if (c.thread.joinable()) c.thread.join();
   impl_->conns.clear();
-  // 3. Finish anything still in the pool (responses already flushed or
-  //    their connections gone), then release the path.
-  impl_->service.drain();
   ::unlink(impl_->path.c_str());
 }
 

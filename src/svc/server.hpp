@@ -23,11 +23,14 @@
 // Shutdown: stop() (or SIGTERM in dhpfd) drains gracefully — the service
 // stops accepting (new requests answer ErrorCode::Shutdown), queued
 // requests finish and their responses flush, then connections and the
-// listener close. The socket file is unlinked on stop. Flushing waits for
-// every client to read its responses, so a client that stopped reading
-// must close its connection for stop() to return.
+// listener close. The socket file is unlinked on stop. Once the queued work
+// is done, writers get kDrainGrace to flush; a connection whose client has
+// still not read everything by then is shut down and its remaining
+// responses dropped, so a client that stopped reading without closing
+// cannot keep the daemon from exiting.
 #pragma once
 
+#include <chrono>
 #include <memory>
 #include <string>
 #include <vector>
@@ -36,6 +39,10 @@
 #include "svc/service.hpp"
 
 namespace dhpf::svc {
+
+/// How long stop() waits, after the last queued request has finished, for
+/// clients to read their responses before it shuts their connections down.
+inline constexpr std::chrono::seconds kDrainGrace{3};
 
 struct ServerOptions {
   std::string socket_path;
@@ -52,8 +59,9 @@ class Server {
   Server(const Server&) = delete;
   Server& operator=(const Server&) = delete;
 
-  /// Graceful drain: reject new work, finish queued work, flush responses,
-  /// close every connection, join threads, unlink the socket. Idempotent.
+  /// Graceful drain: reject new work, finish queued work, flush responses
+  /// (for at most kDrainGrace), close every connection, join threads,
+  /// unlink the socket. Idempotent.
   void stop();
 
   [[nodiscard]] const std::string& socket_path() const;

@@ -14,14 +14,6 @@ namespace dhpf::tune {
 
 namespace {
 
-/// Measured time of one run on its backend: simulated seconds on sim, real
-/// wall-clock seconds on the real-thread backends (mp, shm) — one place to
-/// get this right so a new real-time backend is never silently scored by
-/// simulated time.
-double measured_seconds(const codegen::SpmdResult& run) {
-  return run.backend == exec::Backend::Sim ? run.elapsed : run.wall_seconds;
-}
-
 /// Predicted wall for the tuner's execution backend: the shm formula
 /// (barriers + shared reads) when measuring on shm, the message-passing
 /// formula otherwise.
@@ -137,7 +129,7 @@ TuneReport tune(const hpf::Program& prog, const TuneOptions& opt) {
     codegen::CompileResult compiled = codegen::compile(prog, r.spec.sopt, r.spec.copt);
     const codegen::SpmdResult run =
         codegen::run_spmd(prog, compiled.cps, compiled.plan, opt.machine, xopt);
-    r.measured_seconds = measured_seconds(run);
+    r.measured_seconds = run.seconds();
     if (r.measured_seconds > 0.0)
       r.rel_error = std::fabs(r.predicted_wall - r.measured_seconds) / r.measured_seconds;
   }
@@ -200,7 +192,7 @@ model::Calibration calibrate_program(const hpf::Program& prog, const TuneOptions
       s.messages = shm_backend ? static_cast<double>(pred.barrier_episodes)
                                : pred.critical_messages;
       s.bytes = shm_backend ? pred.critical_shared_bytes : pred.critical_bytes;
-      s.measured_seconds = measured_seconds(run);
+      s.measured_seconds = run.seconds();
       if (s.measured_seconds > 0.0) samples.push_back(std::move(s));
     } catch (const dhpf::Error&) {
       // A variant that fails to compile or run contributes no equation.

@@ -36,10 +36,10 @@ TEST(CommPlacement, IndependentInputsHoistFully) {
     if (ev.kind == EventKind::Fetch) {
       EXPECT_EQ(ev.placement_depth, 0);
     }
-  auto r = run_spmd(prog, c.cps, c.plan, sim::Machine::sp2());
+  auto r = run_spmd(prog, c.cps, c.plan, exec::Machine::sp2());
   EXPECT_LT(r.max_err, 1e-12);
   // One hoisted exchange total, even though the loop runs 10 times.
-  EXPECT_LE(r.stats.messages, 6u);
+  EXPECT_LE(r.messages, 6u);
 }
 
 TEST(CommPlacement, ProducerInOuterLoopForcesPerIterationExchange) {
@@ -64,7 +64,7 @@ TEST(CommPlacement, ProducerInOuterLoopForcesPerIterationExchange) {
     if (ev.kind == EventKind::Fetch && ev.array->name == "b")
       fetch_depth = ev.placement_depth;
   EXPECT_EQ(fetch_depth, 1);  // inside k, between the two i nests
-  auto r = run_spmd(prog, c.cps, c.plan, sim::Machine::sp2());
+  auto r = run_spmd(prog, c.cps, c.plan, exec::Machine::sp2());
   EXPECT_LT(r.max_err, 1e-12);
 }
 
@@ -86,7 +86,7 @@ TEST(CommPlacement, DisjointComponentPlanesDoNotPinPlacement) {
     if (ev.kind == EventKind::Fetch && ev.array->name == "src") {
       EXPECT_EQ(ev.placement_depth, 0);
     }
-  auto r = run_spmd(prog, c.cps, c.plan, sim::Machine::sp2());
+  auto r = run_spmd(prog, c.cps, c.plan, exec::Machine::sp2());
   EXPECT_LT(r.max_err, 1e-12);
 }
 
@@ -108,7 +108,7 @@ TEST(CommCoalescing, MultipleOffsetsOneArrayOneEvent) {
   for (const auto& ev : c.plan.events)
     if (ev.kind == EventKind::Fetch && ev.array->name == "b") ++b_events;
   EXPECT_EQ(b_events, 1u);  // all four offsets coalesce
-  auto r = run_spmd(prog, c.cps, c.plan, sim::Machine::sp2());
+  auto r = run_spmd(prog, c.cps, c.plan, exec::Machine::sp2());
   EXPECT_LT(r.max_err, 1e-12);
   // Depth-2 halo: interior rank receives 2 elems from each side in ONE
   // message per side.
@@ -135,7 +135,7 @@ TEST(CommCoalescing, DisabledKeepsPerRefEvents) {
   for (const auto& ev : plan.events)
     if (ev.kind == EventKind::Fetch && ev.array->name == "b") ++b_events;
   EXPECT_EQ(b_events, 2u);
-  auto r = run_spmd(prog, cps, plan, sim::Machine::sp2());
+  auto r = run_spmd(prog, cps, plan, exec::Machine::sp2());
   EXPECT_LT(r.max_err, 1e-12);
 }
 
@@ -160,7 +160,7 @@ TEST(WriteBack, SuppressedWhenOwnerComputesTermPresent) {
   )");
   auto c = codegen::compile(prog);
   for (const auto& ev : c.plan.events) EXPECT_NE(ev.kind, EventKind::WriteBack);
-  auto res = run_spmd(prog, c.cps, c.plan, sim::Machine::sp2());
+  auto res = run_spmd(prog, c.cps, c.plan, exec::Machine::sp2());
   EXPECT_LT(res.max_err, 1e-12);
 }
 
@@ -185,7 +185,7 @@ TEST(WriteBack, EmittedForPureNonOwnerWrites) {
   for (const auto& ev : plan.events)
     if (ev.kind == EventKind::WriteBack && ev.array->name == "a") ++wb;
   EXPECT_EQ(wb, 1u);
-  auto r = run_spmd(prog, cps, plan, sim::Machine::sp2());
+  auto r = run_spmd(prog, cps, plan, exec::Machine::sp2());
   EXPECT_LT(r.max_err, 1e-12);
 }
 
@@ -213,7 +213,7 @@ TEST(Sec7, NotEliminatedWhenReadExceedsWritten) {
   for (const auto& ev : plan.events)
     if (ev.kind == EventKind::Fetch && ev.note.find("sec 7") != std::string::npos)
       FAIL() << "unsound elimination: " << ev.to_string();
-  auto r = run_spmd(prog, cps, plan, sim::Machine::sp2());
+  auto r = run_spmd(prog, cps, plan, exec::Machine::sp2());
   EXPECT_LT(r.max_err, 1e-12);
 }
 
@@ -234,7 +234,7 @@ TEST(CodegenShapes, EightWayOneDimensionalGrid) {
     end
   )");
   auto c = codegen::compile(prog);
-  auto r = run_spmd(prog, c.cps, c.plan, sim::Machine::sp2());
+  auto r = run_spmd(prog, c.cps, c.plan, exec::Machine::sp2());
   EXPECT_LT(r.max_err, 1e-12);
 }
 
@@ -254,9 +254,9 @@ TEST(CodegenShapes, ThreeDimensionalBlockBlockBlock) {
     end
   )");
   auto c = codegen::compile(prog);
-  auto r = run_spmd(prog, c.cps, c.plan, sim::Machine::sp2());
+  auto r = run_spmd(prog, c.cps, c.plan, exec::Machine::sp2());
   EXPECT_LT(r.max_err, 1e-12);
-  EXPECT_GT(r.stats.messages, 0u);
+  EXPECT_GT(r.messages, 0u);
 }
 
 TEST(CodegenShapes, ReplicatedArraysNeedNoCommunication) {
@@ -272,7 +272,7 @@ TEST(CodegenShapes, ReplicatedArraysNeedNoCommunication) {
   )");
   auto c = codegen::compile(prog);
   EXPECT_TRUE(c.plan.events.empty());
-  auto r = run_spmd(prog, c.cps, c.plan, sim::Machine::sp2());
+  auto r = run_spmd(prog, c.cps, c.plan, exec::Machine::sp2());
   EXPECT_LT(r.max_err, 1e-12);
 }
 
@@ -294,7 +294,7 @@ TEST(FailureInjection, DroppedEventIsCaughtByVerification) {
   ASSERT_FALSE(plan.events.empty());
   // Sabotage: pretend the fetch was "eliminated".
   for (auto& ev : plan.events) ev.eliminated = true;
-  EXPECT_THROW(run_spmd(prog, cps, plan, sim::Machine::sp2()), dhpf::Error);
+  EXPECT_THROW(run_spmd(prog, cps, plan, exec::Machine::sp2()), dhpf::Error);
 }
 
 TEST(FailureInjection, WrongCpIsCaughtByVerification) {
@@ -318,7 +318,7 @@ TEST(FailureInjection, WrongCpIsCaughtByVerification) {
         sr.hi = sr.hi.plus(6);
       }
   auto plan = comm::generate_comm(prog, cps);
-  EXPECT_THROW(run_spmd(prog, cps, plan, sim::Machine::sp2()), dhpf::Error);
+  EXPECT_THROW(run_spmd(prog, cps, plan, exec::Machine::sp2()), dhpf::Error);
 }
 
 TEST(FailureInjection, CorruptCarryBundleSizeDetected) {
@@ -341,10 +341,10 @@ TEST(FailureInjection, CorruptCarryBundleSizeDetected) {
   auto c2 = codegen::compile(prog);
   // Determinism of the whole pipeline: identical plans, identical results.
   EXPECT_EQ(c1.plan.to_string(), c2.plan.to_string());
-  auto r1 = run_spmd(prog, c1.cps, c1.plan, sim::Machine::sp2());
-  auto r2 = run_spmd(prog, c2.cps, c2.plan, sim::Machine::sp2());
+  auto r1 = run_spmd(prog, c1.cps, c1.plan, exec::Machine::sp2());
+  auto r2 = run_spmd(prog, c2.cps, c2.plan, exec::Machine::sp2());
   EXPECT_DOUBLE_EQ(r1.elapsed, r2.elapsed);
-  EXPECT_EQ(r1.stats.messages, r2.stats.messages);
+  EXPECT_EQ(r1.messages, r2.messages);
 }
 
 // --------------------------------------------------------------- facade

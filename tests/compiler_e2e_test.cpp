@@ -29,7 +29,7 @@ SpmdResult compile_and_run(Program& prog, const SelectOptions& sopt = {},
                            const CommOptions& copt = {}) {
   CpResult cps = cp::select_cps(prog, sopt);
   CommPlan plan = comm::generate_comm(prog, cps, copt);
-  return run_spmd(prog, cps, plan, sim::Machine::sp2());
+  return run_spmd(prog, cps, plan, exec::Machine::sp2());
 }
 
 // ------------------------------------------------------ basic stencils
@@ -47,7 +47,7 @@ TEST(E2E, Stencil1DVerifies) {
   )");
   SpmdResult r = compile_and_run(prog);
   EXPECT_LT(r.max_err, 1e-12);
-  EXPECT_GT(r.stats.messages, 0u);  // boundary exchange happened
+  EXPECT_GT(r.messages, 0u);  // boundary exchange happened
   // Owner-computes: iterations partitioned, not replicated.
   EXPECT_EQ(r.total_instances(), 30u);
 }
@@ -84,8 +84,8 @@ TEST(E2E, AlignedCopyNeedsNoCommunication) {
   CpResult cps = cp::select_cps(prog);
   CommPlan plan = comm::generate_comm(prog, cps);
   EXPECT_EQ(plan.active_fetches(), 0u);
-  SpmdResult r = run_spmd(prog, cps, plan, sim::Machine::sp2());
-  EXPECT_EQ(r.stats.messages, 0u);
+  SpmdResult r = run_spmd(prog, cps, plan, exec::Machine::sp2());
+  EXPECT_EQ(r.messages, 0u);
   EXPECT_LT(r.max_err, 1e-12);
 }
 
@@ -103,7 +103,7 @@ TEST(E2E, PipelinedRecurrenceVerifies) {
   )");
   SpmdResult r = compile_and_run(prog);
   EXPECT_LT(r.max_err, 1e-12);
-  EXPECT_GT(r.stats.messages, 0u);
+  EXPECT_GT(r.messages, 0u);
 }
 
 TEST(E2E, TwoStageProducerConsumerHoistsToMiddle) {
@@ -130,11 +130,11 @@ TEST(E2E, TwoStageProducerConsumerHoistsToMiddle) {
     if (ev.kind == comm::EventKind::Fetch && ev.array->name == "b") {
       EXPECT_EQ(ev.placement_depth, 0);
     }
-  SpmdResult r = run_spmd(prog, cps, plan, sim::Machine::sp2());
+  SpmdResult r = run_spmd(prog, cps, plan, exec::Machine::sp2());
   EXPECT_LT(r.max_err, 1e-12);
   // 2 interior boundaries x 2 directions x 1 vectorized message... plus no
   // per-iteration traffic: messages must be small in count.
-  EXPECT_LE(r.stats.messages, 8u);
+  EXPECT_LE(r.messages, 8u);
 }
 
 // --------------------------------------------- §4.1 privatizable arrays
@@ -163,7 +163,7 @@ TEST(E2E, Fig41PrivatizablePropagationEliminatesCvComm) {
   // cv is never communicated (computed exactly where used, boundary
   // computation partially replicated).
   for (const auto& ev : plan.events) EXPECT_NE(ev.array->name, "cv");
-  SpmdResult r = run_spmd(prog, cps, plan, sim::Machine::sp2());
+  SpmdResult r = run_spmd(prog, cps, plan, exec::Machine::sp2());
   EXPECT_LT(r.max_err, 1e-12);
   // Partial replication: the cv defs run on slightly more than 1/P of the
   // points, but far less than full replication.
@@ -179,12 +179,12 @@ TEST(E2E, Fig41ReplicateModeCostsMoreWork) {
   rep.priv_mode = cp::PrivMode::Replicate;
   CpResult cps_rep = cp::select_cps(prog, rep);
   CommPlan plan_rep = comm::generate_comm(prog, cps_rep);
-  SpmdResult r_rep = run_spmd(prog, cps_rep, plan_rep, sim::Machine::sp2());
+  SpmdResult r_rep = run_spmd(prog, cps_rep, plan_rep, exec::Machine::sp2());
   EXPECT_LT(r_rep.max_err, 1e-12);
 
   CpResult cps = cp::select_cps(prog);
   CommPlan plan = comm::generate_comm(prog, cps);
-  SpmdResult r = run_spmd(prog, cps, plan, sim::Machine::sp2());
+  SpmdResult r = run_spmd(prog, cps, plan, exec::Machine::sp2());
   // §4.1 point 1: propagation avoids the needless replicated computation.
   EXPECT_LT(r.total_instances(), r_rep.total_instances());
 }
@@ -240,7 +240,7 @@ TEST(E2E, Fig42LocalizeEliminatesReciprocalComm) {
   }
   EXPECT_EQ(recip_fetches, 0u);  // boundary computation replicated instead
   EXPECT_EQ(u_fetches, 1u);      // one coalesced overlap fetch of the input
-  SpmdResult r = run_spmd(prog, cps, plan, sim::Machine::sp2());
+  SpmdResult r = run_spmd(prog, cps, plan, exec::Machine::sp2());
   EXPECT_LT(r.max_err, 1e-12);
 }
 
@@ -255,15 +255,15 @@ TEST(E2E, Fig42WithoutLocalizeCommunicatesBoundaries) {
     if (ev.kind == comm::EventKind::Fetch && !ev.eliminated && ev.array->name == "rho_i")
       ++rho_fetches;
   EXPECT_GT(rho_fetches, 0u);
-  SpmdResult r = run_spmd(prog, cps, plan, sim::Machine::sp2());
+  SpmdResult r = run_spmd(prog, cps, plan, exec::Machine::sp2());
   EXPECT_LT(r.max_err, 1e-12);
 
   // And the optimized version moves fewer bytes.
   CpResult cps_on = cp::select_cps(prog);
   CommPlan plan_on = comm::generate_comm(prog, cps_on);
-  SpmdResult r_on = run_spmd(prog, cps_on, plan_on, sim::Machine::sp2());
-  EXPECT_LT(r_on.stats.bytes, r.stats.bytes);
-  EXPECT_LT(r_on.stats.messages, r.stats.messages);
+  SpmdResult r_on = run_spmd(prog, cps_on, plan_on, exec::Machine::sp2());
+  EXPECT_LT(r_on.bytes, r.bytes);
+  EXPECT_LT(r_on.messages, r.messages);
 }
 
 // ----------------------------------------------- §7 data availability
@@ -291,7 +291,7 @@ TEST(E2E, Sec7EliminatesLocallyAvailableRead) {
   }
   CommPlan plan = comm::generate_comm(prog, cps);
   EXPECT_GE(plan.eliminated_fetches(), 1u);
-  SpmdResult r = run_spmd(prog, cps, plan, sim::Machine::sp2());
+  SpmdResult r = run_spmd(prog, cps, plan, exec::Machine::sp2());
   EXPECT_LT(r.max_err, 1e-12);
 }
 
@@ -304,11 +304,11 @@ TEST(E2E, Sec7OffKeepsTheRedundantMessages) {
   CommPlan plan_on = comm::generate_comm(prog, cps);
   EXPECT_GT(plan_off.active_fetches(), plan_on.active_fetches());
 
-  SpmdResult r_off = run_spmd(prog, cps, plan_off, sim::Machine::sp2());
-  SpmdResult r_on = run_spmd(prog, cps, plan_on, sim::Machine::sp2());
+  SpmdResult r_off = run_spmd(prog, cps, plan_off, exec::Machine::sp2());
+  SpmdResult r_on = run_spmd(prog, cps, plan_on, exec::Machine::sp2());
   EXPECT_LT(r_off.max_err, 1e-12);
   EXPECT_LT(r_on.max_err, 1e-12);
-  EXPECT_LT(r_on.stats.messages, r_off.stats.messages);
+  EXPECT_LT(r_on.messages, r_off.messages);
 }
 
 // ----------------------------------------------- §6 interprocedural
@@ -335,7 +335,7 @@ TEST(E2E, Sec6CallPartitionedAndVerifies) {
   )");
   CpResult cps = cp::select_cps(prog);
   CommPlan plan = comm::generate_comm(prog, cps);
-  SpmdResult r = run_spmd(prog, cps, plan, sim::Machine::sp2());
+  SpmdResult r = run_spmd(prog, cps, plan, exec::Machine::sp2());
   EXPECT_LT(r.max_err, 1e-12);
   // Partitioned execution: 100 call instances x 5 callee assigns, not 4x.
   EXPECT_EQ(r.total_instances(), 500u);

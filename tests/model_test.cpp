@@ -187,10 +187,9 @@ TEST(Predict, MatchesExecutedTrafficOnStencil) {
   // The model's static aggregates are exact: they equal the executed counts.
   EXPECT_EQ(pred.nprocs, 4);
   EXPECT_EQ(pred.total_instances, run.total_instances());
-  EXPECT_EQ(pred.messages, run.stats.messages);
-  EXPECT_EQ(pred.bytes, run.stats.bytes);
-  EXPECT_NEAR(pred.compute_seconds_total, run.stats.total_compute,
-              1e-12 * run.stats.total_compute);
+  EXPECT_EQ(pred.messages, run.messages);
+  EXPECT_EQ(pred.bytes, run.bytes);
+  EXPECT_NEAR(pred.compute_seconds_total, run.total_compute, 1e-12 * run.total_compute);
   // Critical-path aggregates are bounded by totals but nonzero here.
   EXPECT_GT(pred.critical_messages, 0.0);
   EXPECT_LE(pred.critical_messages, static_cast<double>(pred.messages));

@@ -15,7 +15,7 @@
 namespace dhpf::nas {
 namespace {
 
-using sim::Machine;
+using exec::Machine;
 
 // ---- awkward sizes -------------------------------------------------------
 
@@ -290,7 +290,7 @@ TEST(Accounting, HandMessagesScaleWithSweepStages) {
   Problem pb{App::SP, 24, 1, 0.0};
   auto r4 = run_variant(Variant::HandMPI, pb, 4, Machine::sp2(), opt);
   auto r16 = run_variant(Variant::HandMPI, pb, 16, Machine::sp2(), opt);
-  EXPECT_GT(r16.stats.messages, r4.stats.messages);
+  EXPECT_GT(r16.messages, r4.messages);
 }
 
 TEST(Accounting, PgiVolumeDominatedByTransposes) {
@@ -299,7 +299,7 @@ TEST(Accounting, PgiVolumeDominatedByTransposes) {
   Problem pb{App::SP, 24, 2, 0.0};
   auto pgi = run_variant(Variant::PgiStyle, pb, 4, Machine::sp2(), opt);
   auto dhpf = run_variant(Variant::DhpfStyle, pb, 4, Machine::sp2(), opt);
-  EXPECT_GT(pgi.stats.bytes, 2 * dhpf.stats.bytes);
+  EXPECT_GT(pgi.bytes, 2 * dhpf.bytes);
 }
 
 TEST(Accounting, SingleProcessorRunsHaveNoPointToPointTraffic) {
@@ -307,7 +307,7 @@ TEST(Accounting, SingleProcessorRunsHaveNoPointToPointTraffic) {
   opt.verify = false;
   for (Variant v : {Variant::HandMPI, Variant::DhpfStyle, Variant::PgiStyle}) {
     auto r = run_variant(v, Problem{App::SP, 12, 1, 0.0}, 1, Machine::sp2(), opt);
-    EXPECT_EQ(r.stats.messages, 0u) << to_string(v);
+    EXPECT_EQ(r.messages, 0u) << to_string(v);
   }
 }
 

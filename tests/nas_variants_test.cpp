@@ -9,7 +9,7 @@
 namespace dhpf::nas {
 namespace {
 
-using sim::Machine;
+using exec::Machine;
 
 Problem tiny(App app) { return Problem{app, 12, 2, 0.0}; }
 
@@ -80,8 +80,8 @@ TEST(DhpfOptions, LocalizeReducesMessagesAndBytes) {
   on.verify = off.verify = false;
   RunResult ron = run_variant(Variant::DhpfStyle, tiny(App::SP), 9, Machine::sp2(), on);
   RunResult roff = run_variant(Variant::DhpfStyle, tiny(App::SP), 9, Machine::sp2(), off);
-  EXPECT_LT(ron.stats.messages, roff.stats.messages);
-  EXPECT_LT(ron.stats.bytes, roff.stats.bytes);
+  EXPECT_LT(ron.messages, roff.messages);
+  EXPECT_LT(ron.bytes, roff.bytes);
 }
 
 TEST(DhpfOptions, DataAvailabilityOffStillVerifies) {
@@ -97,7 +97,7 @@ TEST(DhpfOptions, DataAvailabilityEliminatesPipelineTraffic) {
   on.verify = off.verify = false;
   RunResult ron = run_variant(Variant::DhpfStyle, tiny(App::SP), 9, Machine::sp2(), on);
   RunResult roff = run_variant(Variant::DhpfStyle, tiny(App::SP), 9, Machine::sp2(), off);
-  EXPECT_LT(ron.stats.messages, roff.stats.messages);
+  EXPECT_LT(ron.messages, roff.messages);
   EXPECT_LE(ron.elapsed, roff.elapsed);
 }
 
@@ -143,7 +143,7 @@ TEST(Driver, HandBeatsNothingButIsBalanced) {
   opt.verify = false;
   RunResult r = run_variant(Variant::HandMPI, Problem{App::BT, 18, 2, 0.0}, 9,
                             Machine::sp2(), opt);
-  EXPECT_GT(r.stats.busy_fraction(9), 0.5);
+  EXPECT_GT(r.busy_fraction(), 0.5);
 }
 
 }  // namespace

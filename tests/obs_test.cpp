@@ -19,7 +19,8 @@
 
 #include "codegen/driver.hpp"
 #include "codegen/spmd.hpp"
-#include "sim/machine.hpp"
+#include "exec/machine.hpp"
+#include "exec/stats.hpp"
 #include "sim/trace.hpp"
 #include "support/json.hpp"
 #include "support/metrics.hpp"
@@ -479,18 +480,19 @@ sim::TraceLog make_trace() {
 }
 
 TEST(Trace, StatsFractionsSumBelowOne) {
-  sim::Stats s;
+  exec::RunStats s;
   s.total_compute = 4.5;  // ranks 0+1 compute
   s.total_comm = 0.9;
   s.total_idle = 2.6;
   s.elapsed = 4.0;
-  const int nprocs = 2;
-  EXPECT_DOUBLE_EQ(s.busy_fraction(nprocs), 4.5 / 8.0);
-  EXPECT_DOUBLE_EQ(s.comm_fraction(nprocs), 0.9 / 8.0);
-  EXPECT_DOUBLE_EQ(s.idle_fraction(nprocs), 2.6 / 8.0);
-  EXPECT_LE(s.busy_fraction(nprocs) + s.comm_fraction(nprocs) + s.idle_fraction(nprocs),
-            1.0);
-  EXPECT_DOUBLE_EQ(sim::Stats{}.busy_fraction(4), 0.0);  // zero elapsed -> 0, not NaN
+  s.ranks.resize(2);
+  EXPECT_DOUBLE_EQ(s.busy_fraction(), 4.5 / 8.0);
+  EXPECT_DOUBLE_EQ(s.comm_fraction(), 0.9 / 8.0);
+  EXPECT_DOUBLE_EQ(s.idle_fraction(), 2.6 / 8.0);
+  EXPECT_LE(s.busy_fraction() + s.comm_fraction() + s.idle_fraction(), 1.0);
+  exec::RunStats empty;
+  empty.ranks.resize(4);
+  EXPECT_DOUBLE_EQ(empty.busy_fraction(), 0.0);  // zero elapsed -> 0, not NaN
 }
 
 TEST(Trace, IntervalsCsvEscapesPhases) {
@@ -610,14 +612,14 @@ TEST(Trace, EndToEndChromeExportFromRealRun) {
   codegen::SpmdOptions opt;
   opt.record_trace = true;
   codegen::SpmdResult r =
-      codegen::run_spmd(prog, c.cps, c.plan, sim::Machine::sp2(), opt);
+      codegen::run_spmd(prog, c.cps, c.plan, exec::Machine::sp2(), opt);
   ASSERT_EQ(r.trace.ranks.size(), 4u);
-  EXPECT_GT(r.stats.messages, 0u);
+  EXPECT_GT(r.messages, 0u);
 
   JsonPtr doc = parse_json(r.trace.chrome_trace_json());
   ASSERT_TRUE(doc);
   ASSERT_TRUE(doc->at("traceEvents") && doc->at("traceEvents")->array());
-  EXPECT_GT(doc->at("traceEvents")->array()->size(), r.stats.messages);
+  EXPECT_GT(doc->at("traceEvents")->array()->size(), r.messages);
 
   // The compile report JSON must parse too, with per-pass entries.
   JsonPtr report = parse_json(c.report.to_json());
@@ -627,9 +629,8 @@ TEST(Trace, EndToEndChromeExportFromRealRun) {
   EXPECT_GE(passes->array()->size(), 3u);
 
   // Fractions of the real run respect the documented invariant.
-  const int np = 4;
-  const double total = r.stats.busy_fraction(np) + r.stats.comm_fraction(np) +
-                       r.stats.idle_fraction(np);
+  EXPECT_EQ(r.nranks(), 4);
+  const double total = r.busy_fraction() + r.comm_fraction() + r.idle_fraction();
   EXPECT_GT(total, 0.0);
   EXPECT_LE(total, 1.0 + 1e-9);
 }

@@ -13,9 +13,9 @@
 namespace dhpf::rt {
 namespace {
 
-using sim::Machine;
+using exec::Machine;
+using exec::Task;
 using sim::Process;
-using sim::Task;
 
 // ----------------------------------------------------------------- Block1D
 

@@ -72,7 +72,7 @@ struct RunError {
 /// Run two ranks that each wait for a message nobody sends.
 RunError deadlocked_pair(exec::Backend mode, const mp::Options& opt) {
   try {
-    mp::run(mode, 2, opt, [&](Channel& p) -> Task {
+    mp::run(mode, 2, exec::Machine::sp2(), opt, [&](Channel& p) -> Task {
       co_await p.recv(1 - p.rank(), 99);
       co_return;
     });
@@ -82,17 +82,11 @@ RunError deadlocked_pair(exec::Backend mode, const mp::Options& opt) {
   return {};
 }
 
-// Run `body` on the sim backend and return nothing; helper for parity tests.
-void run_on_sim(int nranks, const std::function<Task(Channel&)>& body) {
-  sim::Engine engine(nranks, sim::Machine::sp2());
-  engine.run([&](sim::Process& p) -> Task { return body(p); });
-}
-
 // ------------------------------------------------------ point-to-point
 
 RUNTIME_TEST(MpRuntime, ShmRuntime, SendRecvDeliversPayload) {
   std::vector<double> got;
-  mp::run(mode, 2, [&](Channel& p) -> Task {
+  mp::run(mode, 2, exec::Machine::sp2(), {}, [&](Channel& p) -> Task {
     if (p.rank() == 0) {
       p.send(1, 7, {1.5, 2.5, 3.5});
     } else {
@@ -106,7 +100,7 @@ RUNTIME_TEST(MpRuntime, ShmRuntime, SendRecvDeliversPayload) {
 RUNTIME_TEST(MpRuntime, ShmRuntime, SameSourceSameTagIsFifo) {
   constexpr int kN = 200;
   std::vector<double> seq;
-  mp::run(mode, 2, [&](Channel& p) -> Task {
+  mp::run(mode, 2, exec::Machine::sp2(), {}, [&](Channel& p) -> Task {
     if (p.rank() == 0) {
       for (int i = 0; i < kN; ++i) p.send(1, 3, {static_cast<double>(i)});
     } else {
@@ -123,7 +117,7 @@ RUNTIME_TEST(MpRuntime, ShmRuntime, SameSourceSameTagIsFifo) {
 
 RUNTIME_TEST(MpRuntime, ShmRuntime, TagsMatchIndependentlyOfArrivalOrder) {
   std::vector<double> first, second;
-  mp::run(mode, 2, [&](Channel& p) -> Task {
+  mp::run(mode, 2, exec::Machine::sp2(), {}, [&](Channel& p) -> Task {
     if (p.rank() == 0) {
       p.send(1, 1, {10.0});
       p.send(1, 2, {20.0});
@@ -139,7 +133,7 @@ RUNTIME_TEST(MpRuntime, ShmRuntime, TagsMatchIndependentlyOfArrivalOrder) {
 
 RUNTIME_TEST(MpRuntime, ShmRuntime, IrecvWaitCompletesLikeRecv) {
   std::vector<double> got;
-  mp::run(mode, 2, [&](Channel& p) -> Task {
+  mp::run(mode, 2, exec::Machine::sp2(), {}, [&](Channel& p) -> Task {
     if (p.rank() == 0) {
       p.send(1, 9, {42.0});
     } else {
@@ -157,7 +151,7 @@ RUNTIME_TEST(MpRuntime, ShmRuntime, IrecvWaitCompletesLikeRecv) {
 RUNTIME_TEST(MpRuntime, ShmRuntime, WildcardReceivesEachMessageExactlyOnce) {
   constexpr int kRanks = 6;
   std::vector<double> got;
-  mp::run(mode, kRanks, [&](Channel& p) -> Task {
+  mp::run(mode, kRanks, exec::Machine::sp2(), {}, [&](Channel& p) -> Task {
     if (p.rank() == 0) {
       for (int i = 1; i < kRanks; ++i) {
         auto v = co_await p.recv(exec::kAnySource, 4);
@@ -178,7 +172,7 @@ RUNTIME_TEST(MpRuntime, ShmRuntime, WildcardReceivesEachMessageExactlyOnce) {
 TEST(MpVsSim, WildcardOrderIsDeterministicOnSim) {
   auto once = [] {
     std::vector<double> got;
-    sim::Engine engine(4, sim::Machine::sp2());
+    sim::Engine engine(4, exec::Machine::sp2());
     engine.run([&](sim::Process& p) -> Task {
       if (p.rank() == 0) {
         p.compute(1e6);  // all sends arrive before the first receive
@@ -244,10 +238,13 @@ RUNTIME_TEST(MpCollectives, ShmCollectives, ParityWithSim) {
     return res;
   };
 
-  const Results on_sim =
-      run_with([&](const std::function<Task(Channel&)>& body) { run_on_sim(kRanks, body); });
-  const Results on_rt =
-      run_with([&](const std::function<Task(Channel&)>& body) { mp::run(mode, kRanks, body); });
+  const auto on = [&](exec::Backend backend) {
+    return run_with([&](const std::function<Task(Channel&)>& body) {
+      mp::run(backend, kRanks, exec::Machine::sp2(), {}, body);
+    });
+  };
+  const Results on_sim = on(exec::Backend::Sim);
+  const Results on_rt = on(mode);
 
   // Bit-identical: the collectives' receives all name their sources, so the
   // combine order is the same tree on every backend.
@@ -266,7 +263,7 @@ RUNTIME_TEST(MpCollectives, ShmCollectives, BarrierOrdersSideEffects) {
   constexpr int kRanks = 4;
   std::atomic<int> entered{0};
   std::vector<int> seen_at_exit(kRanks, -1);
-  mp::run(mode, kRanks, [&](Channel& p) -> Task {
+  mp::run(mode, kRanks, exec::Machine::sp2(), {}, [&](Channel& p) -> Task {
     entered.fetch_add(1);
     co_await exec::barrier(p);
     // After the barrier every rank must observe all kRanks entries.
@@ -282,7 +279,7 @@ TEST(ShmBarrier, OrdersSideEffects) {
   constexpr int kRanks = 8;
   std::atomic<int> entered{0};
   std::vector<int> seen_at_exit(kRanks, -1);
-  mp::run(exec::Backend::Shm, kRanks, [&](Channel& p) -> Task {
+  mp::run(exec::Backend::Shm, kRanks, exec::Machine::sp2(), {}, [&](Channel& p) -> Task {
     entered.fetch_add(1);
     mp::barrier(p);
     // After the barrier every rank must observe all kRanks entries.
@@ -298,12 +295,12 @@ TEST(ShmBarrier, OrdersSideEffects) {
 /// current round. After round t's second barrier, rank t % nranks spends
 /// `straggle` outside the barrier while its peers park at the next one.
 /// True when no rank ever saw a peer in another round.
-bool rounds_stay_in_lockstep(int nranks, int rounds, const mp::Options& opt, mp::Stats* stats,
-                             std::chrono::microseconds straggle = {}) {
+bool rounds_stay_in_lockstep(int nranks, int rounds, const mp::Options& opt,
+                             exec::RunStats* stats, std::chrono::microseconds straggle = {}) {
   std::vector<std::atomic<int>> round(static_cast<std::size_t>(nranks));
   for (auto& r : round) r.store(0);
   std::atomic<bool> ok{true};
-  mp::run(exec::Backend::Shm, nranks, opt, [&](Channel& p) -> Task {
+  *stats = mp::run(exec::Backend::Shm, nranks, exec::Machine::sp2(), opt, [&](Channel& p) -> Task {
     const auto me = static_cast<std::size_t>(p.rank());
     for (int t = 0; t < rounds; ++t) {
       round[me].store(t, std::memory_order_relaxed);
@@ -314,7 +311,7 @@ bool rounds_stay_in_lockstep(int nranks, int rounds, const mp::Options& opt, mp:
       if (t % nranks == p.rank()) std::this_thread::sleep_for(straggle);
     }
     co_return;
-  }, stats);
+  });
   return ok.load();
 }
 
@@ -323,7 +320,7 @@ TEST(ShmBarrier, ManyRoundsUnderContentionStayInLockstep) {
   // after every round each rank checks that nobody has started the next
   // round yet (the generation observed at exit equals its own round).
   constexpr int kRounds = 200;
-  mp::Stats stats;
+  exec::RunStats stats;
   EXPECT_TRUE(rounds_stay_in_lockstep(16, kRounds, mp::Options{}, &stats));
   // Global episode count: two barriers per round, regardless of rank count.
   EXPECT_EQ(stats.barriers, static_cast<std::size_t>(2 * kRounds));
@@ -339,7 +336,7 @@ TEST(ShmBarrier, FastWatchdogNeverTakesLockstepRoundsForADeadlock) {
   opt.recv_timeout_s = 0.0;  // only the watchdog may intervene
   opt.watchdog_period_s = 1e-5;
   for (const int nranks : {2, 4, 16}) {
-    mp::Stats stats;
+    exec::RunStats stats;
     EXPECT_NO_THROW(EXPECT_TRUE(
         rounds_stay_in_lockstep(nranks, 500, opt, &stats, std::chrono::microseconds(20))))
         << nranks << " ranks";
@@ -354,7 +351,7 @@ TEST(ShmBarrier, PeerDeathBeforeBarrierIsDetected) {
   opt.recv_timeout_s = 0.0;
   opt.watchdog_period_s = 0.02;
   try {
-    mp::run(exec::Backend::Shm, 2, opt, [&](Channel& p) -> Task {
+    mp::run(exec::Backend::Shm, 2, exec::Machine::sp2(), opt, [&](Channel& p) -> Task {
       if (p.rank() == 1) fail("test", "boom");
       mp::barrier(p);
       co_return;
@@ -375,7 +372,7 @@ TEST(ShmBarrier, PeerExitWithoutBarrierIsDeadlock) {
   opt.recv_timeout_s = 0.0;  // only the watchdog may intervene
   opt.watchdog_period_s = 0.02;
   try {
-    mp::run(exec::Backend::Shm, 2, opt, [&](Channel& p) -> Task {
+    mp::run(exec::Backend::Shm, 2, exec::Machine::sp2(), opt, [&](Channel& p) -> Task {
       if (p.rank() == 0) mp::barrier(p);
       co_return;
     });
@@ -392,7 +389,7 @@ TEST(ShmBarrier, TimeoutRaisesInsteadOfHanging) {
   opt.recv_timeout_s = 0.05;
   opt.watchdog_period_s = 0.0;  // timeout path, not the watchdog
   try {
-    mp::run(exec::Backend::Shm, 2, opt, [&](Channel& p) -> Task {
+    mp::run(exec::Backend::Shm, 2, exec::Machine::sp2(), opt, [&](Channel& p) -> Task {
       if (p.rank() == 0) mp::barrier(p);  // rank 1 never arrives
       co_return;
     });
@@ -406,23 +403,19 @@ TEST(ShmBarrier, RejectsForeignChannels) {
   // barrier()/note_shared_read() are Shm-mode primitives; handing them a
   // sim channel or an Mp-mode one must raise, not silently no-op (codegen
   // relies on this).
-  sim::Engine engine(1, sim::Machine::sp2());
-  engine.run([&](sim::Process& p) -> Task {
-    EXPECT_THROW(mp::barrier(p), Error);
-    EXPECT_THROW(mp::note_shared_read(p, 8), Error);
-    co_return;
-  });
-  mp::run(exec::Backend::Mp, 1, [&](Channel& p) -> Task {
-    EXPECT_THROW(mp::barrier(p), Error);
-    EXPECT_THROW(mp::note_shared_read(p, 8), Error);
-    co_return;
-  });
-  mp::Stats stats;
-  mp::run(exec::Backend::Shm, 1, [&](Channel& p) -> Task {
-    EXPECT_NO_THROW(mp::barrier(p));
-    EXPECT_NO_THROW(mp::note_shared_read(p, 8));
-    co_return;
-  }, &stats);
+  for (const auto backend : {exec::Backend::Sim, exec::Backend::Mp}) {
+    mp::run(backend, 1, exec::Machine::sp2(), {}, [&](Channel& p) -> Task {
+      EXPECT_THROW(mp::barrier(p), Error);
+      EXPECT_THROW(mp::note_shared_read(p, 8), Error);
+      co_return;
+    });
+  }
+  const exec::RunStats stats =
+      mp::run(exec::Backend::Shm, 1, exec::Machine::sp2(), {}, [&](Channel& p) -> Task {
+        EXPECT_NO_THROW(mp::barrier(p));
+        EXPECT_NO_THROW(mp::note_shared_read(p, 8));
+        co_return;
+      });
   EXPECT_EQ(stats.barriers, 1u);
   EXPECT_EQ(stats.shared_read_bytes, 8u);
 }
@@ -446,7 +439,7 @@ TEST(ShmRuntime, CollectiveWaitIsNotMistakenForABarrierWait) {
   opt.recv_timeout_s = 0.0;
   opt.watchdog_period_s = 0.02;
   try {
-    mp::run(exec::Backend::Shm, 2, opt, [&](Channel& p) -> Task {
+    mp::run(exec::Backend::Shm, 2, exec::Machine::sp2(), opt, [&](Channel& p) -> Task {
       std::vector<double> v{1.0};
       if (p.rank() == 0) co_await exec::reduce(p, v, exec::ReduceOp::Sum, 0);
       co_return;  // rank 1 never contributes
@@ -510,7 +503,7 @@ RUNTIME_TEST(MpRuntime, ShmRuntime, RecvTimeoutRaisesInsteadOfHanging) {
   opt.recv_timeout_s = 0.05;
   opt.watchdog_period_s = 0.0;  // timeout path, not the watchdog
   try {
-    mp::run(mode, 2, opt, [&](Channel& p) -> Task {
+    mp::run(mode, 2, exec::Machine::sp2(), opt, [&](Channel& p) -> Task {
       if (p.rank() == 0) co_await p.recv(1, 5);  // rank 1 never sends
       co_return;
     });
@@ -523,7 +516,7 @@ RUNTIME_TEST(MpRuntime, ShmRuntime, RecvTimeoutRaisesInsteadOfHanging) {
 
 RUNTIME_TEST(MpRuntime, ShmRuntime, RankExceptionIsReportedWithRank) {
   try {
-    mp::run(mode, 3, [&](Channel& p) -> Task {
+    mp::run(mode, 3, exec::Machine::sp2(), {}, [&](Channel& p) -> Task {
       if (p.rank() == 1) fail("test", "boom");
       co_await exec::barrier(p);
       co_return;
@@ -536,28 +529,61 @@ RUNTIME_TEST(MpRuntime, ShmRuntime, RankExceptionIsReportedWithRank) {
   }
 }
 
-TEST(MpRuntime, RejectsTheSimBackend) {
-  // The simulator is not a threaded mode: asking the runtime for it is a
-  // typed error, not a silent Mp run.
-  EXPECT_THROW(mp::run(exec::Backend::Sim, 2, [](Channel&) -> Task { co_return; }), Error);
+TEST(MpRuntime, SimBackendRunsOnTheEngine) {
+  // The same entry point runs the simulator: every rank on the calling
+  // thread, in virtual time under the given machine, with a trace on
+  // request and the same stats type as the threaded modes.
+  const std::thread::id caller = std::this_thread::get_id();
+  bool same_thread = true;
+  sim::TraceLog trace;
+  const exec::RunStats stats = mp::run(
+      exec::Backend::Sim, 2, exec::Machine::sp2(), {},
+      [&](Channel& p) -> Task {
+        same_thread = same_thread && std::this_thread::get_id() == caller;
+        p.compute(65.0e6);  // one virtual second at the sp2 rate
+        if (p.rank() == 0) {
+          p.send(1, 1, {1.0, 2.0});
+        } else {
+          (void)co_await p.recv(0, 1);
+        }
+        co_return;
+      },
+      &trace);
+  EXPECT_TRUE(same_thread);
+  EXPECT_EQ(stats.backend, exec::Backend::Sim);
+  EXPECT_GT(stats.elapsed, 1.0);
+  EXPECT_EQ(stats.seconds(), stats.elapsed);
+  EXPECT_GT(stats.wall_seconds, 0.0);
+  EXPECT_NEAR(stats.total_compute, 2.0, 1e-12);
+  EXPECT_EQ(stats.messages, 1u);
+  EXPECT_EQ(stats.bytes, 2 * sizeof(double));
+  ASSERT_EQ(stats.ranks.size(), 2u);
+  EXPECT_EQ(stats.ranks[0].sends, 1u);
+  EXPECT_EQ(stats.ranks[1].recvs, 1u);
+  EXPECT_EQ(stats.ranks[1].bytes_received, 2 * sizeof(double));
+  EXPECT_NEAR(stats.ranks[1].compute_seconds, 1.0, 1e-12);
+  EXPECT_EQ(trace.ranks.size(), 2u);
+  EXPECT_EQ(trace.messages.size(), 1u);
 }
 
 // ------------------------------------------------------------ statistics
 
 RUNTIME_TEST(MpRuntime, ShmRuntime, StatsCountTrafficPerRank) {
-  mp::Stats stats;
-  const double wall = mp::run(mode, 2, [&](Channel& p) -> Task {
-    p.set_phase("exchange");
-    if (p.rank() == 0) {
-      p.send(1, 1, {1.0, 2.0});
-    } else {
-      (void)co_await p.recv(0, 1);
-    }
-    p.set_phase("");
-    co_return;
-  }, &stats);
-  EXPECT_GT(wall, 0.0);
-  EXPECT_EQ(stats.wall_seconds, wall);
+  const exec::RunStats stats =
+      mp::run(mode, 2, exec::Machine::sp2(), {}, [&](Channel& p) -> Task {
+        p.set_phase("exchange");
+        if (p.rank() == 0) {
+          p.send(1, 1, {1.0, 2.0});
+        } else {
+          (void)co_await p.recv(0, 1);
+        }
+        p.set_phase("");
+        co_return;
+      });
+  EXPECT_EQ(stats.backend, mode);
+  EXPECT_GT(stats.wall_seconds, 0.0);
+  EXPECT_EQ(stats.seconds(), stats.wall_seconds);
+  EXPECT_EQ(stats.elapsed, 0.0);
   EXPECT_EQ(stats.messages, 1u);
   EXPECT_EQ(stats.bytes, 2 * sizeof(double));
   EXPECT_EQ(stats.barriers, 0u);
@@ -574,17 +600,16 @@ RUNTIME_TEST(MpRuntime, ShmRuntime, StatsCountTrafficPerRank) {
 }
 
 TEST(ShmRuntime, StatsCountBarriersAndSharedReads) {
-  mp::Stats stats;
-  const double wall = mp::run(exec::Backend::Shm, 4, [&](Channel& p) -> Task {
-    p.set_phase("exchange");
-    mp::barrier(p);
-    mp::note_shared_read(p, 64);
-    mp::barrier(p);
-    p.set_phase("");
-    co_return;
-  }, &stats);
-  EXPECT_GT(wall, 0.0);
-  EXPECT_EQ(stats.wall_seconds, wall);
+  const exec::RunStats stats =
+      mp::run(exec::Backend::Shm, 4, exec::Machine::sp2(), {}, [&](Channel& p) -> Task {
+        p.set_phase("exchange");
+        mp::barrier(p);
+        mp::note_shared_read(p, 64);
+        mp::barrier(p);
+        p.set_phase("");
+        co_return;
+      });
+  EXPECT_GT(stats.wall_seconds, 0.0);
   EXPECT_EQ(stats.barriers, 2u);  // global episodes, not per-rank entries
   EXPECT_EQ(stats.shared_read_bytes, 4u * 64u);
   ASSERT_EQ(stats.ranks.size(), 4u);
@@ -601,13 +626,13 @@ RUNTIME_TEST(MpRuntime, ShmRuntime, SleepComputeModeRealizesModelledTime) {
   mp::Options opt;
   opt.compute_mode = mp::ComputeMode::Sleep;
   opt.time_scale = 1.0;
-  mp::Stats stats;
-  const double wall = mp::run(mode, 2, opt, [&](Channel& p) -> Task {
-    p.elapse(0.03);  // 30 ms of modelled compute, slept for real
-    co_await exec::barrier(p);
-    co_return;
-  }, &stats);
-  EXPECT_GE(wall, 0.025);
+  const exec::RunStats stats =
+      mp::run(mode, 2, exec::Machine::sp2(), opt, [&](Channel& p) -> Task {
+        p.elapse(0.03);  // 30 ms of modelled compute, slept for real
+        co_await exec::barrier(p);
+        co_return;
+      });
+  EXPECT_GE(stats.wall_seconds, 0.025);
   EXPECT_NEAR(stats.ranks[0].compute_seconds, 0.03, 1e-12);  // modelled accounting
 }
 
@@ -637,7 +662,7 @@ Compiled compile(const std::string& src) {
 codegen::SpmdResult run_compiled(const Compiled& c, exec::Backend backend) {
   codegen::SpmdOptions opt;
   opt.backend = backend;
-  return codegen::run_spmd(c.prog, c.cps, c.plan, sim::Machine::sp2(), opt);
+  return codegen::run_spmd(c.prog, c.cps, c.plan, exec::Machine::sp2(), opt);
 }
 
 codegen::SpmdResult compile_and_run(const std::string& src, exec::Backend backend) {
@@ -717,14 +742,14 @@ RUNTIME_TEST(MpSpmd, ShmSpmd, Stencil1DMatchesOracleAt2To16Ranks) {
     EXPECT_EQ(on_sim.instances_per_rank, on_rt.instances_per_rank);
     EXPECT_GT(on_rt.wall_seconds, 0.0);
     if (mode == exec::Backend::Mp) {
-      EXPECT_EQ(on_sim.stats.messages, on_rt.stats.messages);
-      EXPECT_EQ(on_sim.stats.bytes, on_rt.stats.bytes);
+      EXPECT_EQ(on_sim.messages, on_rt.messages);
+      EXPECT_EQ(on_sim.bytes, on_rt.bytes);
     } else {
       // No messages: the halo exchange became barrier-fenced direct reads
       // of exactly the bytes the message path would have carried.
-      EXPECT_EQ(on_rt.runtime_stats.messages, 0u);
-      EXPECT_GT(on_rt.runtime_stats.barriers, 0u);
-      EXPECT_EQ(on_rt.runtime_stats.shared_read_bytes, on_sim.stats.bytes);
+      EXPECT_EQ(on_rt.messages, 0u);
+      EXPECT_GT(on_rt.barriers, 0u);
+      EXPECT_EQ(on_rt.shared_read_bytes, on_sim.bytes);
     }
   }
 }
@@ -736,10 +761,10 @@ TEST(ShmSpmd, CountersMatchModelExactly) {
   for (const std::string& src : {stencil_1d(4), std::string(kFig41), std::string(kFig42)}) {
     const Compiled c = compile(src);
     const codegen::SpmdResult run = run_compiled(c, exec::Backend::Shm);
-    const model::Prediction pred = model::predict(c.prog, c.cps, c.plan, sim::Machine::sp2(),
+    const model::Prediction pred = model::predict(c.prog, c.cps, c.plan, exec::Machine::sp2(),
                                                   codegen::SpmdOptions{}.flops_per_instance);
-    EXPECT_EQ(run.runtime_stats.barriers, pred.barrier_episodes);
-    EXPECT_EQ(run.runtime_stats.shared_read_bytes, pred.bytes);
+    EXPECT_EQ(run.barriers, pred.barrier_episodes);
+    EXPECT_EQ(run.shared_read_bytes, pred.bytes);
   }
 }
 
@@ -774,12 +799,11 @@ void nas_variant_verifies(nas::Variant v, exec::Backend mode) {
   nas::Problem pb{nas::App::SP, 12, 2, 0.0};
   nas::DriverOptions opt;
   opt.backend = mode;
-  nas::RunResult r = nas::run_variant(v, pb, 4, sim::Machine::sp2(), opt);
+  nas::RunResult r = nas::run_variant(v, pb, 4, exec::Machine::sp2(), opt);
   EXPECT_TRUE(r.verified);
   EXPECT_LT(r.max_err, 1e-10);
   EXPECT_GT(r.wall_seconds, 0.0);
-  EXPECT_GT(r.stats.messages, 0u);
-  EXPECT_EQ(r.runtime_stats.messages, r.stats.messages);
+  EXPECT_GT(r.messages, 0u);
 }
 
 TEST(MpNas, DhpfStyleVariantVerifiesOnRealThreads) {
@@ -793,6 +817,59 @@ TEST(MpNas, HandMpiVariantVerifiesOnRealThreads) {
 }
 TEST(ShmNas, HandMpiVariantVerifiesOnSharedMemoryThreads) {
   nas_variant_verifies(nas::Variant::HandMPI, exec::Backend::Shm);
+}
+
+// ------------------------------------------------------------ exec::Task
+
+exec::Task count_inline(long& n) {
+  ++n;
+  co_return;
+}
+
+/// Receive one message from `src` inside a child task, so that on sim the
+/// child (not the root) is what suspends.
+exec::Task recv_in_child(Channel& p, int src, double& got) {
+  got = (co_await p.recv(src, 3)).at(0);
+}
+
+TEST(ExecTask, InlineChildrenDoNotGrowTheStack) {
+  // A child that finishes without suspending must hand control back
+  // through its parent's awaiter, not through a nested resume: 200k awaits
+  // from one root then cost no stack, even in builds where symmetric
+  // transfer is a real call (GCC with ASan), where each await would
+  // otherwise leave two frames behind. Every 20k awaits the ranks
+  // ping-pong one message, received in a child; on sim that child
+  // suspends whenever its message is not there yet, and resumes its
+  // parent when done.
+  constexpr long kChildren = 200000;
+  for (exec::Backend backend : {exec::Backend::Sim, exec::Backend::Mp, exec::Backend::Shm}) {
+    SCOPED_TRACE(exec::to_string(backend));
+    std::vector<long> counts(2, 0);
+    std::vector<std::vector<double>> received(2);
+    int waits = 0;  // receives that found no message (each suspends on sim)
+    mp::run(backend, 2, exec::Machine::sp2(), {}, [&](Channel& p) -> Task {
+      const auto me = static_cast<std::size_t>(p.rank());
+      const int peer = 1 - p.rank();
+      for (long i = 0; i < kChildren; ++i) {
+        co_await count_inline(counts[me]);
+        if (i % 20000 != 0) continue;
+        if (p.rank() == 0) p.send(peer, 3, {static_cast<double>(i)});
+        if (backend == exec::Backend::Sim && !p.has_message(peer, 3)) ++waits;
+        double got = -1.0;
+        co_await recv_in_child(p, peer, got);
+        received[me].push_back(got);
+        if (p.rank() == 1) p.send(peer, 3, {got});
+      }
+    });
+    EXPECT_EQ(counts, (std::vector<long>{kChildren, kChildren}));
+    std::vector<double> expected;
+    for (long i = 0; i < kChildren; i += 20000) expected.push_back(static_cast<double>(i));
+    EXPECT_EQ(received[0], expected);
+    EXPECT_EQ(received[1], expected);
+    if (backend == exec::Backend::Sim) {
+      EXPECT_GE(waits, 10);  // rank 0 waits for every reply
+    }
+  }
 }
 
 // ------------------------------------------------------ backend plumbing

@@ -9,12 +9,16 @@
 #include <set>
 #include <vector>
 
-#include "sim/collectives.hpp"
+#include "exec/collectives.hpp"
 #include "sim/engine.hpp"
 #include "support/diagnostics.hpp"
 
 namespace dhpf::sim {
 namespace {
+
+using exec::Machine;
+using exec::ReduceOp;
+using exec::Task;
 
 TEST(SimStress, RandomRoutingDeliversEveryPayloadIntact) {
   // Every rank sends a unique stamped payload to several pseudo-random
@@ -176,7 +180,7 @@ TEST(SimStress, StatsBusyFractionBounded) {
       (void)co_await p.recv(0, 0);
     co_return;
   });
-  const double f = e.stats().busy_fraction(4);
+  const double f = e.stats().busy_fraction();
   EXPECT_GT(f, 0.0);
   EXPECT_LE(f, 1.0);
 }

@@ -4,12 +4,16 @@
 #include <numeric>
 #include <vector>
 
-#include "sim/collectives.hpp"
+#include "exec/collectives.hpp"
 #include "sim/engine.hpp"
 #include "support/diagnostics.hpp"
 
 namespace dhpf::sim {
 namespace {
+
+using exec::Machine;
+using exec::ReduceOp;
+using exec::Task;
 
 Machine fast() { return Machine::free_network(); }
 
@@ -19,7 +23,7 @@ TEST(Sim, SingleRankComputeAdvancesClock) {
     p.compute(65.0e6);  // exactly one second at the sp2 rate
     co_return;
   });
-  EXPECT_NEAR(e.elapsed(), 1.0, 1e-12);
+  EXPECT_NEAR(e.stats().elapsed, 1.0, 1e-12);
   EXPECT_NEAR(e.stats().total_compute, 1.0, 1e-12);
 }
 
@@ -123,7 +127,7 @@ TEST(Sim, AnySourceReceivesFromEither) {
       p.send(0, 9, {static_cast<double>(p.rank())});
     } else {
       for (int i = 0; i < 2; ++i) {
-        auto v = co_await p.recv(kAnySource, 9);
+        auto v = co_await p.recv(exec::kAnySource, 9);
         total += static_cast<int>(v[0]);
       }
     }
@@ -185,7 +189,7 @@ TEST(Sim, IrecvWaitEquivalentToRecv) {
     if (p.rank() == 0) {
       p.isend(1, 4, {5.0});
     } else {
-      Request rq = p.irecv(0, 4);
+      exec::Request rq = p.irecv(0, 4);
       p.compute(100.0);  // overlap something
       auto v = co_await p.wait(rq);
       EXPECT_DOUBLE_EQ(v[0], 5.0);
@@ -236,7 +240,7 @@ TEST(Sim, DeterministicAcrossRuns) {
       }
       co_return;
     });
-    return e.elapsed();
+    return e.stats().elapsed;
   };
   EXPECT_DOUBLE_EQ(run_once(1), run_once(2));
 }

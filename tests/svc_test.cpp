@@ -787,6 +787,44 @@ TEST(SvcSocket, ClientThatNeverReadsStallsOnlyItself) {
   ::close(stalled);
 }
 
+TEST(SvcSocket, StopShutsDownAClientThatNeverReadsAfterTheGrace) {
+  Deadline deadline("StopShutsDownAClientThatNeverReadsAfterTheGrace", 30);
+  const std::string path = testing::TempDir() + "svc_stop_stalled.sock";
+  svc::ServerOptions opt;
+  opt.socket_path = path;
+  opt.service.workers = 4;
+  svc::Server server(opt);
+
+  // A raw connection that sends 400 requests, never reads and stays open:
+  // its writer blocks on the full socket.
+  const int stalled = ::socket(AF_UNIX, SOCK_STREAM, 0);
+  ASSERT_GE(stalled, 0);
+  sockaddr_un addr{};
+  addr.sun_family = AF_UNIX;
+  std::memcpy(addr.sun_path, path.c_str(), path.size() + 1);
+  ASSERT_EQ(::connect(stalled, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr)), 0);
+  const std::string source = fuzz::generate(12).source;
+  for (std::uint64_t id = 1; id <= 400; ++id)
+    svc::write_frame(stalled, make_req(svc::Kind::Compile, source, id).to_json());
+
+  // A client reading on another connection gets every answer.
+  svc::Client client(path);
+  std::vector<svc::Request> batch;
+  for (std::uint64_t id = 1; id <= 50; ++id)
+    batch.push_back(make_req(id % 2 ? svc::Kind::Compile : svc::Kind::Verify, kStencil, id));
+  const std::vector<svc::Response> responses = client.batch(batch);
+  ASSERT_EQ(responses.size(), batch.size());
+  for (const svc::Response& r : responses) EXPECT_TRUE(r.ok) << r.error;
+
+  // stop() drains, waits out the grace for the stalled reader, then shuts
+  // its connection down instead of waiting for it forever.
+  const auto t0 = std::chrono::steady_clock::now();
+  server.stop();
+  const std::chrono::duration<double> took = std::chrono::steady_clock::now() - t0;
+  EXPECT_LT(took.count(), std::chrono::duration<double>(svc::kDrainGrace).count() + 5.0);
+  ::close(stalled);
+}
+
 // ------------------------------------------------------------ thread pool
 
 TEST(ExecPool, RunsEveryJobAndDrains) {

@@ -414,7 +414,7 @@ TEST_F(TraceTest, OneTraceHoldsCompileAndPerRankRuntimeSpans) {
   codegen::SpmdOptions xopt;
   xopt.backend = exec::Backend::Mp;
   const codegen::SpmdResult r =
-      codegen::run_spmd(prog, compiled.cps, compiled.plan, sim::Machine::sp2(), xopt);
+      codegen::run_spmd(prog, compiled.cps, compiled.plan, exec::Machine::sp2(), xopt);
   EXPECT_LE(r.max_err, 1e-9);
 
   const trace::TraceDump dump = rec.drain();
@@ -453,7 +453,7 @@ TEST_F(TraceTest, MpAndShmRunsInOneProcessKeepTheirOwnNames) {
     trace::Recorder::global().reset();
     obs::Registry::global().reset();
     const obs::MetricsSnapshot before = obs::Registry::global().snapshot();
-    mp::run(mode, 2, [&](Channel& p) -> Task {
+    mp::run(mode, 2, exec::Machine::sp2(), {}, [&](Channel& p) -> Task {
       if (p.rank() == 0) {
         p.send(1, 1, {1.0});
       } else {
@@ -493,7 +493,7 @@ TEST_F(TraceTest, WatchdogDumpsEveryRanksFlightRecorderOnDeadlock) {
   opt.watchdog_period_s = 0.02;
   ::testing::internal::CaptureStderr();
   try {
-    mp::run(exec::Backend::Mp, 2, opt, [&](Channel& p) -> Task {
+    mp::run(exec::Backend::Mp, 2, exec::Machine::sp2(), opt, [&](Channel& p) -> Task {
       // Both ranks wait for a message nobody sends.
       co_await p.recv(1 - p.rank(), 99);
       co_return;
@@ -520,7 +520,7 @@ TEST_F(TraceTest, WatchdogDumpStaysSilentWhenTracingIsOff) {
   opt.recv_timeout_s = 0.0;
   opt.watchdog_period_s = 0.02;
   ::testing::internal::CaptureStderr();
-  EXPECT_THROW(mp::run(exec::Backend::Mp, 2, opt,
+  EXPECT_THROW(mp::run(exec::Backend::Mp, 2, exec::Machine::sp2(), opt,
                        [&](Channel& p) -> Task {
                          co_await p.recv(1 - p.rank(), 99);
                          co_return;

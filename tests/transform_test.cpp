@@ -48,7 +48,7 @@ TEST(Transform, DistributedProgramStillVerifies) {
   hpf::Program prog = hpf::parse(kConflict);
   distribute_where_needed(prog, *prog.main());
   auto compiled = codegen::compile(prog);
-  auto r = codegen::run_spmd(prog, compiled.cps, compiled.plan, sim::Machine::sp2());
+  auto r = codegen::run_spmd(prog, compiled.cps, compiled.plan, exec::Machine::sp2());
   EXPECT_LT(r.max_err, 1e-12);
 }
 
@@ -60,16 +60,16 @@ TEST(Transform, DistributionHoistsCommunicationOutward) {
   // ones are finally placed at the outermost loop nest level".)
   hpf::Program before = hpf::parse(kConflict);
   auto cb = codegen::compile(before);
-  auto rb = codegen::run_spmd(before, cb.cps, cb.plan, sim::Machine::sp2());
+  auto rb = codegen::run_spmd(before, cb.cps, cb.plan, exec::Machine::sp2());
 
   hpf::Program after = hpf::parse(kConflict);
   distribute_where_needed(after, *after.main());
   auto ca = codegen::compile(after);
-  auto ra = codegen::run_spmd(after, ca.cps, ca.plan, sim::Machine::sp2());
+  auto ra = codegen::run_spmd(after, ca.cps, ca.plan, exec::Machine::sp2());
 
   EXPECT_LT(ra.max_err, 1e-12);
   EXPECT_LT(rb.max_err, 1e-12);
-  EXPECT_LT(ra.stats.messages, rb.stats.messages);
+  EXPECT_LT(ra.messages, rb.messages);
 }
 
 TEST(Transform, NoOpWhenNoConflict) {
