@@ -20,7 +20,6 @@
 
 #include "cli/cli.hpp"
 #include "codegen/driver.hpp"
-#include "exec/parallel.hpp"
 #include "fuzz/campaign.hpp"
 #include "lint/lint.hpp"
 #include "lint/mutate.hpp"
@@ -34,6 +33,25 @@
 #include "tune/tune.hpp"
 #include "verify/mutate.hpp"
 #include "verify/verify.hpp"
+
+namespace {
+
+/// Write `doc` to `path` ('-' is stdout) and flush it. A file that cannot
+/// be opened or written (a full disk, /dev/full) prints "cannot write" and
+/// returns false.
+bool write_output(const std::string& path, const std::string& doc) {
+  bool ok = false;
+  if (path == "-") {
+    ok = std::fputs(doc.c_str(), stdout) >= 0 && std::fflush(stdout) == 0;
+  } else {
+    std::ofstream out(path);
+    ok = static_cast<bool>(out << doc << std::flush);
+  }
+  if (!ok) std::fprintf(stderr, "dhpfc: cannot write %s\n", path.c_str());
+  return ok;
+}
+
+}  // namespace
 
 int main(int argc, char** argv) {
   using namespace dhpf;
@@ -50,8 +68,6 @@ int main(int argc, char** argv) {
     return 0;
   }
 
-  if (o.par_passes) exec::set_pass_parallelism(true);
-
   const bool tracing = o.profile || !o.trace_out.empty();
   if (tracing) {
     trace::Recorder::global().set_enabled(true);
@@ -67,16 +83,9 @@ int main(int argc, char** argv) {
     if (!tracing || drained) return true;
     drained = true;
     const trace::TraceDump dump = trace::Recorder::global().drain();
-    if (o.trace_out == "-") {
-      std::fputs((trace::chrome_trace_json(dump) + "\n").c_str(), stdout);
-    } else if (!o.trace_out.empty()) {
-      std::ofstream out(o.trace_out);
-      if (!out) {
-        std::fprintf(stderr, "dhpfc: cannot write %s\n", o.trace_out.c_str());
-        return false;
-      }
-      out << trace::chrome_trace_json(dump) << "\n";
-    }
+    if (!o.trace_out.empty() &&
+        !write_output(o.trace_out, trace::chrome_trace_json(dump) + "\n"))
+      return false;
     if (o.profile) {
       const std::vector<trace::ProfileRow> rows = trace::profile(dump);
       profile_json_doc = trace::profile_json(rows);
@@ -270,17 +279,7 @@ int main(int argc, char** argv) {
           w.key("lint");
           w.raw(rep.to_json());
           w.end_object();
-          const std::string doc = w.str() + "\n";
-          if (o.report_json == "-") {
-            std::fputs(doc.c_str(), stdout);
-          } else {
-            std::ofstream out(o.report_json);
-            if (!out) {
-              std::fprintf(stderr, "dhpfc: cannot write %s\n", o.report_json.c_str());
-              return finish(1);
-            }
-            out << doc;
-          }
+          if (!write_output(o.report_json, w.str() + "\n")) return finish(1);
         }
         if (!rep.clean()) rc = 2;
       }
@@ -445,17 +444,7 @@ int main(int argc, char** argv) {
         w.raw(profile_json_doc);
       }
       w.end_object();
-      const std::string doc = w.str() + "\n";
-      if (o.report_json == "-") {
-        std::fputs(doc.c_str(), stdout);
-      } else {
-        std::ofstream out(o.report_json);
-        if (!out) {
-          std::fprintf(stderr, "dhpfc: cannot write %s\n", o.report_json.c_str());
-          return 1;
-        }
-        out << doc;
-      }
+      if (!write_output(o.report_json, w.str() + "\n")) return 1;
     }
 
     if (violations) return 1;

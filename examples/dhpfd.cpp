@@ -13,6 +13,7 @@
 #include <string>
 #include <vector>
 
+#include "cli/cli.hpp"
 #include "svc/server.hpp"
 
 namespace {
@@ -23,15 +24,6 @@ const char kUsage[] =
     "  --workers=N    worker threads (default 0 = hardware concurrency)\n"
     "  --cache=N      result-cache capacity in entries (default 1024; 0 disables)\n"
     "  --quiet        no listening/drain/stats lines on stderr\n";
-
-bool parse_int(const std::string& v, int lo, int hi, int& out) {
-  try {
-    out = std::stoi(v);
-  } catch (const std::exception&) {
-    return false;
-  }
-  return out >= lo && out <= hi;
-}
 
 }  // namespace
 
@@ -51,9 +43,9 @@ int main(int argc, char** argv) {
       socket_path = value;
       ok = !value.empty();
     } else if (name == "--workers") {
-      ok = parse_int(value, 0, 256, workers);
+      ok = dhpf::cli::parse_int(value, 0, 256, workers);
     } else if (name == "--cache") {
-      ok = parse_int(value, 0, 1 << 20, cache);
+      ok = dhpf::cli::parse_int(value, 0, 1 << 20, cache);
     } else if (arg == "--quiet") {
       quiet = true;
     } else if (arg == "--help") {

@@ -1,11 +1,15 @@
 #include "cli/cli.hpp"
 
 #include <algorithm>
+#include <limits>
 #include <sstream>
 
 namespace dhpf::cli {
 
 namespace {
+
+constexpr int kMaxInt = std::numeric_limits<int>::max();
+constexpr std::uint64_t kMaxSeed = std::numeric_limits<std::uint64_t>::max();
 
 OptionSpec flag(std::string name, std::string help, std::function<void(Options&)> set) {
   OptionSpec s;
@@ -29,15 +33,6 @@ OptionSpec valued(std::string display, std::string name, std::string help,
   s.help = std::move(help);
   s.apply = std::move(apply);
   return s;
-}
-
-bool parse_int(const std::string& v, int lo, int hi, int& out) {
-  try {
-    out = std::stoi(v);
-  } catch (const std::exception&) {
-    return false;
-  }
-  return out >= lo && out <= hi;
 }
 
 std::vector<OptionSpec> make_table() {
@@ -128,12 +123,7 @@ std::vector<OptionSpec> make_table() {
                      "measured confirmations for --tune beyond the default variant "
                      "(default 3; 0 ranks purely by prediction)",
                      [](Options& o, const std::string& v) {
-                       try {
-                         o.tune_measure = std::stoi(v);
-                       } catch (const std::exception&) {
-                         return false;
-                       }
-                       return o.tune_measure >= 0;
+                       return parse_int(v, 0, kMaxInt, o.tune_measure);
                      }));
   t.push_back(flag("--report", "print the structured compile report (pass times, metrics)",
                    [](Options& o) { o.report = true; }));
@@ -165,23 +155,13 @@ std::vector<OptionSpec> make_table() {
                      "variants, static verifier and cost-model cross-checks) "
                      "instead of compiling an input file",
                      [](Options& o, const std::string& v) {
-                       try {
-                         o.fuzz_count = std::stoi(v);
-                       } catch (const std::exception&) {
-                         return false;
-                       }
-                       return o.fuzz_count > 0;
+                       return parse_int(v, 1, kMaxInt, o.fuzz_count);
                      }));
   t.push_back(valued("--fuzz-seed=S", "--fuzz-seed",
                      "campaign seed (default 1); the same seed reproduces the "
                      "same programs and the same report, byte for byte",
                      [](Options& o, const std::string& v) {
-                       try {
-                         o.fuzz_seed = std::stoull(v);
-                       } catch (const std::exception&) {
-                         return false;
-                       }
-                       return true;
+                       return parse_int(v, std::uint64_t{0}, kMaxSeed, o.fuzz_seed);
                      }));
   t.push_back(flag("--fuzz-minimize",
                    "delta-debug failing cases down to minimal reproducers "
@@ -233,12 +213,6 @@ std::vector<OptionSpec> make_table() {
                      [](Options& o, const std::string& v) {
                        return parse_int(v, 0, 1 << 20, o.svc_cache);
                      }));
-  t.push_back(flag("--par-passes",
-                   "fan independent per-statement/per-event set computations in "
-                   "codegen, comm, verify and model across the pass thread pool "
-                   "(same output, schedule-dependent iset.cache.* counters; also "
-                   "DHPF_PAR_PASSES=1)",
-                   [](Options& o) { o.par_passes = true; }));
   t.push_back(flag("--quiet", "suppress the program / CP / plan / SPMD listings",
                    [](Options& o) { o.quiet = true; }));
   t.push_back(flag("--help", "print this help and exit", [](Options& o) { o.help = true; }));

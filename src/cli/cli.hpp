@@ -7,9 +7,11 @@
 // construction, a flag --help documents (tests/cli_test.cpp asserts it).
 #pragma once
 
+#include <charconv>
 #include <cstdint>
 #include <functional>
 #include <string>
+#include <system_error>
 #include <vector>
 
 #include "codegen/driver.hpp"
@@ -48,8 +50,6 @@ struct Options {
   std::string server_socket;     ///< --server=SOCK: send the request to a daemon
   int svc_workers = 0;           ///< --svc-workers=N: daemon pool size (0 = auto)
   int svc_cache = 1024;          ///< --svc-cache=N: daemon cache entries (0 = off)
-  bool par_passes = false;       ///< --par-passes: fan independent set computations
-                                 ///< across the pass pool (exec::parallel_for)
   std::string input;             ///< positional file.hpf
 };
 
@@ -62,6 +62,19 @@ struct OptionSpec {
   /// Applies the (possibly empty) value; returns false on a bad value.
   std::function<bool(Options&, const std::string&)> apply;
 };
+
+/// Parse all of `v` as a base-10 integer in [lo, hi] into `out`. Rejects
+/// an empty string, whitespace, a '+', trailing characters ("10x", "1e3"),
+/// overflow and a '-' on unsigned types; `out` is untouched on failure.
+template <typename T>
+bool parse_int(const std::string& v, T lo, T hi, T& out) {
+  T x{};
+  const char* end = v.data() + v.size();
+  const auto [ptr, ec] = std::from_chars(v.data(), end, x);
+  if (ec != std::errc() || ptr != end || x < lo || x > hi) return false;
+  out = x;
+  return true;
+}
 
 /// The table. Order is the order --help lists the flags in.
 const std::vector<OptionSpec>& option_table();

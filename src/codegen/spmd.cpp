@@ -7,7 +7,6 @@
 #include <sstream>
 
 #include "analysis/sets.hpp"
-#include "exec/parallel.hpp"
 #include "support/diagnostics.hpp"
 #include "support/metrics.hpp"
 #include "trace/trace.hpp"
@@ -520,8 +519,9 @@ SpmdResult run_spmd(const hpf::Program& prog, const cp::CpResult& cps,
     rec(main_proc->body);
   }
 
-  // Anchor the plan's events (main-procedure statements only; callee-side
-  // communication is out of scope — see the module comment).
+  // Anchor the plan's events and build their per-rank need caches
+  // (main-procedure statements only; callee-side communication is out of
+  // scope — see the module comment).
   ctx.events.reserve(plan.events.size());
   for (const auto& ev : plan.events) {
     if (ev.eliminated) continue;
@@ -538,14 +538,9 @@ SpmdResult run_spmd(const hpf::Program& prog, const cp::CpResult& cps,
     const auto& path = cps.stmts.at(ev.stmt_id).path;
     for (int d = 0; d < ev.placement_depth; ++d)
       ae.outer_vars.push_back(path[static_cast<std::size_t>(d)]->var);
+    build_event_cache(prog, ae, ctx.dist, nprocs);
     ctx.events.push_back(std::move(ae));
   }
-  // Each event's per-rank need cache is independent of every other event's,
-  // so the builds fan out across the pass driver; the anchor lists are then
-  // populated serially in event order (their order is observable downstream).
-  exec::parallel_for(ctx.events.size(), [&](std::size_t i) {
-    build_event_cache(prog, ctx.events[i], ctx.dist, nprocs);
-  });
   for (auto& ae : ctx.events) {
     if (ae.ev->kind == EventKind::Fetch)
       ctx.fetch_before[ae.anchor].push_back(&ae);

@@ -6,7 +6,6 @@
 #include <sstream>
 
 #include "analysis/sets.hpp"
-#include "exec/parallel.hpp"
 #include "support/diagnostics.hpp"
 #include "support/metrics.hpp"
 #include "trace/trace.hpp"
@@ -125,14 +124,7 @@ CommPlan generate_comm(const hpf::Program& prog, const cp::CpResult& cps,
   // without introducing a scope around the existing loop.
   std::optional<trace::Span> phase;
   phase.emplace(std::string_view("comm.events"), trace::Kind::Phase);
-  // Each assign's events depend only on that statement (plus the read-only
-  // writers map), so the per-assign bodies fan out across the pass driver;
-  // slots merge in statement order, keeping the plan bit-identical to the
-  // serial loop.
-  std::vector<std::vector<CommEvent>> event_slots(assigns.size());
-  exec::parallel_for(assigns.size(), [&](std::size_t slot) {
-    const cp::StmtCp* sc = assigns[slot];
-    std::vector<CommEvent>& out_events = event_slots[slot];
+  for (const cp::StmtCp* sc : assigns) {
     const Assign& a = sc->stmt->assign();
     const IterSpace is = analysis::iteration_space(sc->path, params);
     const Set iters = cp::iterations_on_home(is, sc->cp, params);
@@ -194,11 +186,11 @@ CommPlan generate_comm(const hpf::Program& prog, const cp::CpResult& cps,
         coalesced[key] = std::move(ev);
         coalesced_order.push_back(key);
       } else {
-        out_events.push_back(std::move(ev));
+        plan.events.push_back(std::move(ev));
       }
     }
     for (const auto& key : coalesced_order)
-      out_events.push_back(std::move(coalesced[key]));
+      plan.events.push_back(std::move(coalesced[key]));
 
     // ---- write-back for a non-owner write --------------------------------
     // Exception: when the statement's CP contains the owner-computes term
@@ -247,12 +239,10 @@ CommPlan generate_comm(const hpf::Program& prog, const cp::CpResult& cps,
         ev.data = std::move(nlw);
         ev.note = a.lhs.to_string();
         ev.path = sc->path;
-        out_events.push_back(std::move(ev));
+        plan.events.push_back(std::move(ev));
       }
     }
-  });
-  for (auto& slot : event_slots)
-    for (auto& ev : slot) plan.events.push_back(std::move(ev));
+  }
   phase.reset();
 
   // ---- §7 data availability --------------------------------------------

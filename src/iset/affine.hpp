@@ -19,7 +19,7 @@ using i64 = std::int64_t;
 
 /// Coefficient row with inline storage: tuples up to rank 8 (every dHPF
 /// workload — data/iteration spaces are rank <= 4, params are lb/ub per
-/// grid dim) never touch the heap; larger rows spill to the iset arena.
+/// grid dim) never touch the heap; larger rows spill to it.
 using CoefRow = SmallVec<i64, 8>;
 
 /// The parameter context of a set: an ordered list of parameter names.

@@ -1,6 +1,5 @@
 #include "iset/intern.hpp"
 
-#include <algorithm>
 #include <atomic>
 #include <cstdlib>
 #include <functional>
@@ -214,42 +213,6 @@ MemoTable<SampleResult>& sample_memo() {
   return t;
 }
 
-/// Canonical-node table: canonical bytes -> shared node.
-struct CanonTable {
-  struct Shard {
-    std::mutex mu;
-    std::unordered_map<std::string, std::shared_ptr<const Set>> map;
-  };
-  Shard shards[kShards];
-
-  std::shared_ptr<const Set> get_or_insert(const std::string& key,
-                                           const std::function<Set()>& make) {
-    Shard& sh = shards[shard_of(std::hash<std::string>{}(key))];
-    std::lock_guard<std::mutex> lock(sh.mu);
-    auto it = sh.map.find(key);
-    if (it != sh.map.end()) return it->second;
-    if (sh.map.size() >= kMemoShardCap) {
-      totals().evictions.fetch_add(sh.map.size(), std::memory_order_relaxed);
-      sh.map.clear();
-    }
-    auto node = std::make_shared<const Set>(make());
-    sh.map.emplace(key, node);
-    return node;
-  }
-
-  void clear() {
-    for (auto& sh : shards) {
-      std::lock_guard<std::mutex> lock(sh.mu);
-      sh.map.clear();
-    }
-  }
-};
-
-CanonTable& canon_table() {
-  static CanonTable t;
-  return t;
-}
-
 std::atomic<int> g_enabled{-1};
 
 }  // namespace
@@ -271,7 +234,6 @@ void clear_caches() {
   bool_memo().clear();
   count_memo().clear();
   sample_memo().clear();
-  canon_table().clear();
 }
 
 CacheStats cache_stats() {
@@ -349,75 +311,6 @@ std::uint64_t Set::rep_id() const {
   v = memo::intern_key(rep_bytes(*this));
   rep_.store(v, std::memory_order_relaxed);
   return v;
-}
-
-// ------------------------------------------------------ canonical nodes
-
-namespace {
-
-/// Canonical serialization of one part: constraints sorted by their bytes.
-std::string canon_part_bytes(const BasicSet& bs, BasicSet* rebuilt) {
-  std::vector<std::string> rows;
-  rows.reserve(bs.constraints().size());
-  std::vector<const Constraint*> by_bytes(bs.constraints().size());
-  for (std::size_t i = 0; i < bs.constraints().size(); ++i) {
-    std::string row;
-    row.push_back(bs.constraints()[i].is_eq ? '\1' : '\0');
-    for (std::size_t v = 0; v < bs.constraints()[i].e.var.size(); ++v)
-      append_i64(row, bs.constraints()[i].e.var[v]);
-    for (std::size_t p = 0; p < bs.constraints()[i].e.param.size(); ++p)
-      append_i64(row, bs.constraints()[i].e.param[p]);
-    append_i64(row, bs.constraints()[i].e.cst);
-    rows.push_back(std::move(row));
-    by_bytes[i] = &bs.constraints()[i];
-  }
-  std::vector<std::size_t> order(rows.size());
-  for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
-  std::sort(order.begin(), order.end(),
-            [&](std::size_t a, std::size_t b) { return rows[a] < rows[b]; });
-  std::string out;
-  append_u64(out, bs.nvars());
-  append_u64(out, rows.size());
-  for (std::size_t i : order) {
-    out.append(rows[i]);
-    if (rebuilt != nullptr) rebuilt->add(*by_bytes[i]);
-  }
-  return out;
-}
-
-}  // namespace
-
-std::shared_ptr<const Set> intern(const Set& s) {
-  // Canonical key: parts with sorted constraints, parts themselves sorted.
-  struct CanonPart {
-    std::string bytes;
-    BasicSet part;
-  };
-  std::vector<CanonPart> parts;
-  parts.reserve(s.parts().size());
-  for (const auto& p : s.parts()) {
-    BasicSet rebuilt(p.nvars(), p.params());
-    std::string bytes = canon_part_bytes(p, &rebuilt);
-    parts.push_back(CanonPart{std::move(bytes), std::move(rebuilt)});
-  }
-  std::sort(parts.begin(), parts.end(),
-            [](const CanonPart& a, const CanonPart& b) { return a.bytes < b.bytes; });
-  std::string key;
-  key.push_back('C');
-  append_u64(key, s.nvars());
-  {
-    std::string pbytes;
-    append_params(pbytes, s.params());
-    key.append(pbytes);
-  }
-  append_u64(key, parts.size());
-  for (const auto& p : parts) key.append(p.bytes);
-
-  return memo::canon_table().get_or_insert(key, [&]() {
-    Set canon(s.nvars(), s.params());
-    for (auto& p : parts) canon.parts_.push_back(std::move(p.part));
-    return canon;
-  });
 }
 
 }  // namespace dhpf::iset

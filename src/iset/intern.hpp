@@ -1,29 +1,21 @@
 // Hash-consing and operation memoization for the integer-set core
-// (tentpole of the iset speed work; ROADMAP "raw speed of the integer-set
-// core"). Two distinct identity notions, deliberately kept separate:
+// (ROADMAP "raw speed of the integer-set core").
 //
-//  * **Representation ids** (`BasicSet::rep_id()`, `Set::rep_id()`): a
-//    monotonically assigned 64-bit id per *exact* representation — the
-//    serialized bytes of (arity, parameter names, parts and constraints in
-//    their stored order). Two values get the same id iff they are
-//    bit-identical, so memoizing an operation on rep ids returns exactly
-//    what recomputation would have produced — including part order and
-//    constraint order, which are externally observable (to_string, the
-//    verifier's fragmentation-budget decisions). The table compares full
-//    keys, never just hashes, so a hash collision can not alias two sets.
-//
-//  * **Canonical nodes** (`intern(set)`): a shared immutable node per
-//    *mathematical* representation — constraints sorted within each part,
-//    parts sorted — so structurally equal sets built in different orders
-//    share one node and equality is pointer comparison. Canonical nodes
-//    are for cross-pass sharing and tests; they are NOT used as memo keys
-//    precisely because canonicalization erases observable order.
+// **Representation ids** (`BasicSet::rep_id()`, `Set::rep_id()`) are
+// monotonically assigned 64-bit ids per *exact* representation — the
+// serialized bytes of (arity, parameter names, parts and constraints in
+// their stored order). Two values get the same id iff they are
+// bit-identical, so memoizing an operation on rep ids returns exactly what
+// recomputation would have produced — including part order and constraint
+// order, which are externally observable (to_string, the verifier's
+// fragmentation-budget decisions). The table compares full keys, never
+// just hashes, so a hash collision can not alias two sets.
 //
 // Memoization covers the hot operations: intersect, unite, subtract,
 // project_out, apply, preimage (Set results), BasicSet emptiness (bool),
 // cardinality and sample (per concrete parameter point). All tables are
-// sharded (per-shard mutex) and safe for concurrent use by the parallel
-// pass driver; per-shard entry caps bound memory, and an overflowing
+// sharded (per-shard mutex) and safe for concurrent use by the compile
+// service's workers; per-shard entry caps bound memory, and an overflowing
 // shard is cleared whole (counted in `iset.cache.evictions`) so eviction
 // is deterministic in single-threaded runs. Rep ids are never reused
 // after eviction, so a stale table entry is impossible by construction.
@@ -67,7 +59,7 @@ enum class Op : std::uint8_t {
 /// Programmatic override of the ISET_NO_CACHE default.
 void set_cache_enabled(bool on);
 
-/// Drop every memo entry and canonical node (intern ids keep advancing).
+/// Drop every memo entry (intern ids keep advancing).
 /// For differential tests and benchmarks that need a cold start.
 void clear_caches();
 
@@ -118,12 +110,5 @@ void sample_store(std::uint64_t set_id, std::uint64_t point_id,
 [[nodiscard]] std::string rep_bytes(const BasicSet& bs);
 [[nodiscard]] std::string rep_bytes(const Set& s);
 [[nodiscard]] std::string rep_bytes(const AffineMap& m);
-
-/// Canonical hash-consed node for `s`: structurally equal sets (up to
-/// constraint/part order) built anywhere in the process return the SAME
-/// shared node, so equality between interned sets is pointer comparison.
-/// The node holds the canonicalized form (sorted constraints/parts), which
-/// denotes the same mathematical set as `s`.
-[[nodiscard]] std::shared_ptr<const Set> intern(const Set& s);
 
 }  // namespace dhpf::iset

@@ -15,7 +15,6 @@
 #include <atomic>
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -25,9 +24,6 @@
 namespace dhpf::iset {
 
 class AffineMap;
-class Set;
-
-std::shared_ptr<const Set> intern(const Set& s);
 
 /// Conjunction of affine constraints over `nvars` tuple variables + params.
 class BasicSet {
@@ -222,7 +218,6 @@ class Set {
   [[nodiscard]] std::uint64_t rep_id() const;
 
  private:
-  friend std::shared_ptr<const Set> intern(const Set& s);
   std::size_t nvars_;
   Params params_;
   std::vector<BasicSet> parts_;

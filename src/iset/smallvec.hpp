@@ -1,10 +1,9 @@
-// Small-buffer vector for constraint coefficient rows (tentpole: small-tuple
-// inline storage). `LinExpr` keeps its variable/parameter coefficients in a
-// `SmallVec<i64, N>`: tuples up to rank N live inline in the expression
-// object (no allocation at all), and larger rows spill to the thread-local
-// size-binned pool in iset/arena.hpp instead of raw malloc — the fuzz
-// campaign's millions of transient constraint rows stop hammering the
-// global allocator either way.
+// Small-buffer vector for constraint coefficient rows. `LinExpr` keeps its
+// variable/parameter coefficients in a `SmallVec<i64, N>`: tuples up to
+// rank N live inline in the expression object (no allocation at all), and
+// only larger rows spill to the heap, so the fuzz campaign's millions of
+// transient constraint rows never reach the allocator (docs/iset.md records
+// what that is worth against `std::vector` rows).
 //
 // Only the slice of the std::vector API the set algebra actually uses is
 // provided (operator[], size, begin/end, assign, push_back, erase,
@@ -15,9 +14,8 @@
 #include <algorithm>
 #include <cstddef>
 #include <cstring>
+#include <new>
 #include <type_traits>
-
-#include "iset/arena.hpp"
 
 namespace dhpf::iset {
 
@@ -130,7 +128,7 @@ class SmallVec {
 
   void release() {
     if (on_heap()) {
-      arena::dealloc(data_, cap_ * sizeof(T));
+      ::operator delete(data_);
       data_ = inline_;
       cap_ = N;
     }
@@ -145,7 +143,7 @@ class SmallVec {
   void grow(std::size_t need) {
     std::size_t cap = cap_ * 2;
     if (cap < need) cap = need;
-    T* fresh = static_cast<T*>(arena::alloc(cap * sizeof(T)));
+    T* fresh = static_cast<T*>(::operator new(cap * sizeof(T)));
     if (size_ != 0) std::memcpy(fresh, data_, size_ * sizeof(T));
     release();
     data_ = fresh;

@@ -6,7 +6,6 @@
 #include <utility>
 
 #include "analysis/sets.hpp"
-#include "exec/parallel.hpp"
 #include "support/diagnostics.hpp"
 #include "support/json.hpp"
 #include "support/metrics.hpp"
@@ -124,26 +123,10 @@ Prediction predict(const hpf::Program& prog, const cp::CpResult& cps,
 
   std::vector<double> compute_secs(static_cast<std::size_t>(n), 0.0);
   bool approx = false;
-  std::vector<std::pair<int, const cp::StmtCp*>> counted;
   for (int id : main_ids) {
     const auto it = cps.stmts.find(id);
-    if (it != cps.stmts.end()) counted.emplace_back(id, &it->second);
-  }
-
-  // Each statement's cost is independent of the others, so the set algebra
-  // (iteration_space + iterations_on_home + per-rank cardinalities) fans out
-  // across the pass pool; per-slot results merge in statement order below.
-  struct StmtSlot {
-    StmtCost sco;
-    std::vector<double> secs;
-    bool approx = false;
-  };
-  std::vector<StmtSlot> stmt_slots(counted.size());
-  exec::parallel_for(counted.size(), [&](std::size_t slot) {
-    const cp::StmtCp& sc = *counted[slot].second;
-    StmtSlot& out = stmt_slots[slot];
-    out.secs.assign(static_cast<std::size_t>(n), 0.0);
-
+    if (it == cps.stmts.end()) continue;
+    const cp::StmtCp& sc = it->second;
     const analysis::IterSpace space = analysis::iteration_space(sc.path, params);
     const iset::Set on_home = cp::iterations_on_home(space, sc.cp, params);
 
@@ -152,28 +135,24 @@ Prediction predict(const hpf::Program& prog, const cp::CpResult& cps,
       const auto* callee = prog.find_procedure(sc.stmt->call().callee);
       if (callee != nullptr) {
         std::map<std::string, long> env;
-        per_invocation = static_cast<double>(callee_instances(callee->body, env, &out.approx));
+        per_invocation = static_cast<double>(callee_instances(callee->body, env, &approx));
       }
     }
 
-    out.sco.stmt_id = counted[slot].first;
-    out.sco.cp = sc.cp.to_string();
+    StmtCost sco;
+    sco.stmt_id = id;
+    sco.cp = sc.cp.to_string();
     for (int q = 0; q < n; ++q) {
       const std::size_t inst = static_cast<std::size_t>(
           static_cast<double>(on_home.cardinality(vals[static_cast<std::size_t>(q)])) *
           per_invocation);
-      out.sco.total_instances += inst;
-      out.sco.critical_instances = std::max(out.sco.critical_instances, inst);
-      out.secs[static_cast<std::size_t>(q)] +=
+      sco.total_instances += inst;
+      sco.critical_instances = std::max(sco.critical_instances, inst);
+      compute_secs[static_cast<std::size_t>(q)] +=
           static_cast<double>(inst) * flops_per_instance * machine.flop_time;
     }
-  });
-  for (StmtSlot& out : stmt_slots) {
-    approx = approx || out.approx;
-    for (int q = 0; q < n; ++q)
-      compute_secs[static_cast<std::size_t>(q)] += out.secs[static_cast<std::size_t>(q)];
-    pred.total_instances += out.sco.total_instances;
-    pred.stmts.push_back(std::move(out.sco));
+    pred.total_instances += sco.total_instances;
+    pred.stmts.push_back(std::move(sco));
   }
   if (approx)
     pred.note = "callee loop bounds depend on call arguments; extents taken as 1";
@@ -190,23 +169,8 @@ Prediction predict(const hpf::Program& prog, const cp::CpResult& cps,
   // participation (sends + receives), weighted with the *default* machine
   // constants so the aggregate is a fixed number during calibration.
   const ModelParams defaults = ModelParams::from_machine(machine);
-  std::vector<const comm::CommEvent*> live;
-  for (const auto& ev_ref : plan.events)
-    if (!ev_ref.eliminated) live.push_back(&ev_ref);
-
-  // Event enumeration dominates model time; each event's loads are private,
-  // so the per-event sweep fans out and the slots merge in event order.
-  struct EventSlot {
-    EventCost ec;
-    std::size_t barrier_episodes = 0;
-    double critical_shared_bytes = 0.0;
-    double critical_messages = 0.0;
-    double critical_bytes = 0.0;
-  };
-  std::vector<EventSlot> event_slots(live.size());
-  exec::parallel_for(live.size(), [&](std::size_t slot) {
-    const auto& ev = *live[slot];
-    EventSlot& out = event_slots[slot];
+  for (const auto& ev : plan.events) {
+    if (ev.eliminated) continue;
     const auto depth = static_cast<std::size_t>(ev.placement_depth);
 
     struct RankLoad {
@@ -219,7 +183,7 @@ Prediction predict(const hpf::Program& prog, const cp::CpResult& cps,
     // prefix -> per-rank participation (sender and receiver both loaded).
     std::map<std::vector<i64>, std::vector<RankLoad>> loads;
 
-    EventCost& ec = out.ec;
+    EventCost ec;
     ec.event_id = ev.id;
     ec.array = ev.array->name;
     ec.fetch = ev.kind == comm::EventKind::Fetch;
@@ -250,6 +214,7 @@ Prediction predict(const hpf::Program& prog, const cp::CpResult& cps,
     }
 
     ec.prefixes = loads.size();
+    double shared_bytes = 0.0;
     for (const auto& [prefix, per_rank] : loads) {
       double best = -1.0;
       const RankLoad* crit = nullptr;
@@ -270,21 +235,16 @@ Prediction predict(const hpf::Program& prog, const cp::CpResult& cps,
       // On shm this prefix costs one barrier pair (codegen skips both
       // barriers when no rank has traffic, which is exactly "no prefix
       // entry here"), and the critical rank is the largest puller.
-      out.barrier_episodes += 2;
-      out.critical_shared_bytes += static_cast<double>(max_shm);
+      pred.barrier_episodes += 2;
+      shared_bytes += static_cast<double>(max_shm);
     }
-    out.critical_messages = ec.critical_messages;
-    out.critical_bytes = ec.critical_bytes;
     DHPF_COUNTER("model.event_costs");
-  });
-  for (EventSlot& out : event_slots) {
-    pred.barrier_episodes += out.barrier_episodes;
-    pred.critical_shared_bytes += out.critical_shared_bytes;
-    pred.messages += out.ec.messages;
-    pred.bytes += out.ec.bytes;
-    pred.critical_messages += out.critical_messages;
-    pred.critical_bytes += out.critical_bytes;
-    pred.events.push_back(std::move(out.ec));
+    pred.critical_shared_bytes += shared_bytes;
+    pred.messages += ec.messages;
+    pred.bytes += ec.bytes;
+    pred.critical_messages += ec.critical_messages;
+    pred.critical_bytes += ec.critical_bytes;
+    pred.events.push_back(std::move(ec));
   }
 
   DHPF_COUNTER_ADD("model.instances_counted", pred.total_instances);

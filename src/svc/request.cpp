@@ -50,6 +50,17 @@ const char* to_string(ErrorCode c) {
 
 namespace {
 
+/// Decode a wire id: an integer in [0, 2^53], the range a JSON number
+/// carries exactly. Fractions, negatives and larger values are rejected
+/// (casting them to uint64_t would truncate or be undefined).
+bool parse_wire_id(const json::Value& v, std::uint64_t& out) {
+  constexpr double kMaxWireId = 9007199254740992.0;  // 2^53
+  if (v.kind != json::Value::Kind::Number || !(v.num >= 0.0 && v.num <= kMaxWireId))
+    return false;
+  out = static_cast<std::uint64_t>(v.num);
+  return static_cast<double>(out) == v.num;
+}
+
 bool parse_error_code(const std::string& name, ErrorCode& out) {
   for (ErrorCode c : {ErrorCode::None, ErrorCode::BadRequest, ErrorCode::ParseError,
                       ErrorCode::CompileError, ErrorCode::Internal, ErrorCode::Shutdown}) {
@@ -170,9 +181,7 @@ bool Request::from_json(const std::string& doc, Request& out, std::string* error
   if (!v.is_object()) return bad("request must be a JSON object");
   Request r;
   if (const json::Value* id = v.find("id")) {
-    if (id->kind != json::Value::Kind::Number || id->num < 0)
-      return bad("id must be a non-negative number");
-    r.id = static_cast<std::uint64_t>(id->num);
+    if (!parse_wire_id(*id, r.id)) return bad("id must be an integer in [0, 2^53]");
   }
   const json::Value* kind = v.find("kind");
   if (!kind || kind->kind != json::Value::Kind::String)
@@ -268,11 +277,11 @@ bool Response::from_json(const std::string& doc, Response& out, std::string* err
   const json::Value* id = v.find("id");
   const json::Value* kind = v.find("kind");
   const json::Value* ok = v.find("ok");
-  if (!id || id->kind != json::Value::Kind::Number) return bad("missing response id");
+  if (!id || !parse_wire_id(*id, r.id))
+    return bad("response id must be an integer in [0, 2^53]");
   if (!kind || kind->kind != json::Value::Kind::String || !parse_kind(kind->string(), r.kind))
     return bad("missing response kind");
   if (!ok || ok->kind != json::Value::Kind::Bool) return bad("missing ok");
-  r.id = static_cast<std::uint64_t>(id->num);
   r.ok = ok->boolean;
   r.code = ErrorCode::None;
   if (!r.ok) {

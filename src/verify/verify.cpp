@@ -7,7 +7,6 @@
 #include <utility>
 
 #include "analysis/sets.hpp"
-#include "exec/parallel.hpp"
 #include "support/json.hpp"
 #include "support/metrics.hpp"
 #include "support/scc.hpp"
@@ -262,27 +261,20 @@ CoverResult is_covered(const Ctx& ctx, const Set& need, const std::vector<const 
 }
 
 /// Non-local elements the representative processor reads through `arr` in
-/// statement `sc` (union over that statement's reads of the array) — the
-/// pure computation behind nonlocal_read, also used by the parallel
-/// need-cache prefill in check().
-Set compute_nonlocal_read(const Params& params, const cp::StmtCp& sc, const Array* arr) {
-  const IterSpace is = analysis::iteration_space(sc.path, params);
-  const Set iters = cp::iterations_on_home(is, sc.cp, params);
-  const Set owned = analysis::owned_set(*arr, params);
-  Set need = Set::empty(arr->extents.size(), params);
-  for (const auto& r : sc.stmt->assign().rhs) {
-    if (r.array != arr) continue;
-    need = need.unite(
-        iters.apply(analysis::subscript_map(is, r.subs, params)).subtract(owned));
-  }
-  return need;
-}
-
+/// statement `sc` (union over that statement's reads of the array), cached.
 const Set& nonlocal_read(Ctx& ctx, const cp::StmtCp& sc, const Array* arr) {
   const int id = sc.stmt->assign().id;
   auto it = ctx.need_cache.find({id, arr});
   if (it != ctx.need_cache.end()) return it->second;
-  Set need = compute_nonlocal_read(ctx.params, sc, arr);
+  const IterSpace is = analysis::iteration_space(sc.path, ctx.params);
+  const Set iters = cp::iterations_on_home(is, sc.cp, ctx.params);
+  const Set owned = analysis::owned_set(*arr, ctx.params);
+  Set need = Set::empty(arr->extents.size(), ctx.params);
+  for (const auto& r : sc.stmt->assign().rhs) {
+    if (r.array != arr) continue;
+    need = need.unite(
+        iters.apply(analysis::subscript_map(is, r.subs, ctx.params)).subtract(owned));
+  }
   return ctx.need_cache.emplace(std::make_pair(id, arr), std::move(need)).first->second;
 }
 
@@ -654,33 +646,6 @@ Report check(const CompiledPlan& plan, const VerifyOptions& opt) {
   for (const auto& [id, sc] : plan.cps.stmts) {
     (void)id;
     if (sc.stmt->is_assign()) writers[sc.stmt->assign().lhs.array].push_back(&sc);
-  }
-
-  // Prefill the (statement, array) non-local read cache across the pass
-  // driver: each entry is a pure function of the plan, and checks 1 and 5
-  // both consult it. Slots land in the map serially in pair order, so the
-  // cache (and every diagnostic derived from it) matches the serial run.
-  {
-    std::vector<std::pair<const cp::StmtCp*, const Array*>> pairs;
-    for (const auto& [id, sc] : plan.cps.stmts) {
-      (void)id;
-      if (!sc.stmt->is_assign()) continue;
-      std::vector<const Array*> seen;
-      for (const auto& r : sc.stmt->assign().rhs)
-        if (r.array->distributed() &&
-            std::find(seen.begin(), seen.end(), r.array) == seen.end()) {
-          seen.push_back(r.array);
-          pairs.emplace_back(&sc, r.array);
-        }
-    }
-    std::vector<std::optional<Set>> slots(pairs.size());
-    exec::parallel_for(pairs.size(), [&](std::size_t i) {
-      slots[i] = compute_nonlocal_read(ctx.params, *pairs[i].first, pairs[i].second);
-    });
-    for (std::size_t i = 0; i < pairs.size(); ++i)
-      ctx.need_cache.emplace(
-          std::make_pair(pairs[i].first->stmt->assign().id, pairs[i].second),
-          std::move(*slots[i]));
   }
 
   check_read_coverage(ctx, writers);

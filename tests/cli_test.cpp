@@ -141,6 +141,11 @@ TEST(Cli, TuneMeasureRejectsBadValues) {
             std::string::npos);
   EXPECT_NE(parse_args({"--tune-backend=cray", "x.hpf"}).error.find("cray"),
             std::string::npos);
+  EXPECT_NE(parse_args({"--tune-measure=3junk", "x.hpf"}).error.find("3junk"),
+            std::string::npos);
+  EXPECT_FALSE(parse_args({"--tune-measure= 3", "x.hpf"}).ok());
+  EXPECT_FALSE(parse_args({"--tune-measure=+3", "x.hpf"}).ok());
+  EXPECT_FALSE(parse_args({"--tune-measure=99999999999", "x.hpf"}).ok());
   EXPECT_TRUE(parse_args({"--tune-measure=0", "x.hpf"}).ok());
 }
 
@@ -155,6 +160,18 @@ TEST(Cli, ErrorsNameTheOffendingArgument) {
             std::string::npos);
   EXPECT_NE(parse_args({"a.hpf", "b.hpf"}).error.find("b.hpf"), std::string::npos);
   EXPECT_NE(parse_args({}).error.find("missing input"), std::string::npos);
+  // Numeric values are read whole: trailing junk, exponents and a sign on
+  // the unsigned seed are errors, not a prefix silently taken.
+  for (const char* arg : {"--fuzz=10x", "--svc-workers=4x", "--svc-cache=1e3",
+                          "--fuzz-seed=-1", "--fuzz-seed=18446744073709551616"}) {
+    const std::string a = arg;
+    const std::string error = parse_args({a, "x.hpf"}).error;
+    EXPECT_NE(error.find("bad value"), std::string::npos) << a;
+    EXPECT_NE(error.find(a.substr(a.find('=') + 1)), std::string::npos) << a;
+  }
+  ParseResult seed = parse_args({"--fuzz-seed=18446744073709551615", "x.hpf"});
+  ASSERT_TRUE(seed.ok()) << seed.error;
+  EXPECT_EQ(seed.opts.fuzz_seed, 18446744073709551615ULL);
 }
 
 TEST(Cli, LintFlags) {

@@ -14,14 +14,9 @@
 //    must agree. A memo hit that differs from recomputation in any bit
 //    fails here.
 //
-// Plus the canonicalization pins: structurally equal sets built in
-// different constraint/part orders intern() to the same node (pointer
-// equality), and sample() witnesses survive interning.
-//
 // Every case is seeded; a failure reports its seed via SCOPED_TRACE.
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <optional>
 #include <random>
 #include <set>
@@ -263,66 +258,6 @@ TEST(IsetProp, MemoizationActuallyHits) {
   const auto after = memo::cache_stats();
   EXPECT_GT(after.hits, before.hits);
   EXPECT_EQ(rep_bytes(first), rep_bytes(again));
-}
-
-TEST(IsetProp, InternPinsConstraintAndPartOrder) {
-  // Deterministic pin first: the same box built lo-then-hi and hi-then-lo.
-  {
-    BasicSet fwd(2, no_params);
-    fwd.add(Constraint::ge0(fwd.expr_var(0) - fwd.expr_const(1)));
-    fwd.add(Constraint::ge0(fwd.expr_const(4) - fwd.expr_var(0)));
-    fwd.add(Constraint::ge0(fwd.expr_var(1)));
-    BasicSet rev(2, no_params);
-    rev.add(Constraint::ge0(rev.expr_const(4) - rev.expr_var(0)));
-    rev.add(Constraint::ge0(rev.expr_var(1)));
-    rev.add(Constraint::ge0(rev.expr_var(0) - rev.expr_const(1)));
-    ASSERT_NE(rep_bytes(fwd), rep_bytes(rev));  // different representations...
-    ASSERT_EQ(intern(Set(fwd)).get(), intern(Set(rev)).get());  // ...same node
-  }
-
-  // Seeded: shuffle the constraint insertion order within each part and the
-  // part order of the union; every permutation must intern to the one node.
-  for (std::uint64_t seed = 1; seed <= 100; ++seed) {
-    SCOPED_TRACE(testing::Message() << "seed=" << seed);
-    Gen g(seed * 49979687);
-    const std::size_t r = rank_for(seed);
-    const Set s = g.set(r);
-
-    std::vector<BasicSet> parts(s.parts().begin(), s.parts().end());
-    std::shuffle(parts.begin(), parts.end(), g.eng);
-    Set shuffled(s.nvars(), s.params());
-    for (const BasicSet& part : parts) {
-      std::vector<Constraint> cs(part.constraints().begin(),
-                                 part.constraints().end());
-      std::shuffle(cs.begin(), cs.end(), g.eng);
-      BasicSet rebuilt(part.nvars(), part.params());
-      for (const Constraint& c : cs) rebuilt.add(c);
-      shuffled.add_part(std::move(rebuilt));
-    }
-
-    const auto node_a = intern(s);
-    const auto node_b = intern(shuffled);
-    ASSERT_EQ(node_a.get(), node_b.get());
-    // The canonical node denotes the same mathematical set.
-    ASSERT_EQ(points_of(*node_a), points_of(s));
-  }
-}
-
-TEST(IsetProp, SampleWitnessSurvivesInterning) {
-  for (std::uint64_t seed = 1; seed <= 100; ++seed) {
-    SCOPED_TRACE(testing::Message() << "seed=" << seed);
-    Gen g(seed * 86028121);
-    const std::size_t r = rank_for(seed);
-    const Set s = g.set(r);
-
-    const std::optional<std::vector<i64>> witness = s.sample({});
-    const auto node = intern(s);
-    ASSERT_EQ(node->sample({}), witness);
-    if (witness) {
-      ASSERT_TRUE(s.contains(*witness, {}));
-      ASSERT_TRUE(node->contains(*witness, {}));
-    }
-  }
 }
 
 }  // namespace

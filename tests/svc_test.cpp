@@ -160,6 +160,21 @@ TEST(SvcProtocol, MalformedRequestRejected) {
   EXPECT_TRUE(svc::Request::from_json(
       R"({"kind":"tune","source":"s","backend":"shm"})", req, &error));
   EXPECT_EQ(req.backend, exec::Backend::Shm);
+  // Ids are integers in [0, 2^53]: a fraction is not truncated, and a value
+  // past 2^53 (let alone past 2^64) is not cast.
+  for (const char* id : {"1e300", "1.5", "1e20", "-1", "9007199254740994"})
+    EXPECT_FALSE(svc::Request::from_json(
+        std::string(R"({"kind":"stats","id":)") + id + "}", req, &error))
+        << id;
+  ASSERT_TRUE(svc::Request::from_json(R"({"kind":"stats","id":9007199254740992})", req,
+                                      &error))
+      << error;
+  EXPECT_EQ(req.id, std::uint64_t{1} << 53);
+  svc::Response resp;
+  EXPECT_FALSE(svc::Response::from_json(R"({"id":-3,"kind":"stats","ok":true})", resp, &error));
+  EXPECT_FALSE(svc::Response::from_json(R"({"id":1.5,"kind":"stats","ok":true})", resp, &error));
+  EXPECT_TRUE(svc::Response::from_json(R"({"id":3,"kind":"stats","ok":true})", resp, &error))
+      << error;
 }
 
 TEST(SvcProtocol, ErrorCodeNamesAreStable) {
