@@ -36,18 +36,23 @@
 
 namespace {
 
-/// Write `doc` to `path` ('-' is stdout) and flush it. A file that cannot
-/// be opened or written (a full disk, /dev/full) prints "cannot write" and
-/// returns false.
+/// Write `doc` to `path` ('-' is stdout, which stdout_written() checks at
+/// exit) and flush it. A file that cannot be opened or written (a full disk,
+/// /dev/full) prints "cannot write" and returns false.
 bool write_output(const std::string& path, const std::string& doc) {
-  bool ok = false;
-  if (path == "-") {
-    ok = std::fputs(doc.c_str(), stdout) >= 0 && std::fflush(stdout) == 0;
-  } else {
-    std::ofstream out(path);
-    ok = static_cast<bool>(out << doc << std::flush);
-  }
+  if (path == "-") return std::fputs(doc.c_str(), stdout) >= 0;
+  std::ofstream out(path);
+  const bool ok = static_cast<bool>(out << doc << std::flush);
   if (!ok) std::fprintf(stderr, "dhpfc: cannot write %s\n", path.c_str());
+  return ok;
+}
+
+/// Flush stdout and check that every write to it landed. A stdout that
+/// failed (a full disk, /dev/full) prints "cannot write -" and returns false.
+/// Every exit after argument parsing runs it once.
+bool stdout_written() {
+  const bool ok = std::fflush(stdout) == 0 && !std::ferror(stdout);
+  if (!ok) std::fprintf(stderr, "dhpfc: cannot write -\n");
   return ok;
 }
 
@@ -65,7 +70,7 @@ int main(int argc, char** argv) {
   const cli::Options& o = parsed.opts;
   if (o.help) {
     std::fputs(cli::usage_text().c_str(), stdout);
-    return 0;
+    return stdout_written() ? 0 : 1;
   }
 
   const bool tracing = o.profile || !o.trace_out.empty();
@@ -76,7 +81,7 @@ int main(int argc, char** argv) {
   // Every exit after this point drains the recorder exactly once, after the
   // mode's traced work has finished: the same snapshot feeds the trace
   // file, the printed profile and the report-json "profile" section. A
-  // trace file that cannot be written turns the exit code into 1.
+  // trace file or a stdout that cannot be written turns the exit code into 1.
   std::string profile_json_doc;
   bool drained = false;
   auto finish_trace = [&]() -> bool {
@@ -93,7 +98,10 @@ int main(int argc, char** argv) {
     }
     return true;
   };
-  auto finish = [&](int rc) { return finish_trace() ? rc : 1; };
+  auto finish = [&](int rc) {
+    const bool traced = finish_trace();
+    return stdout_written() && traced ? rc : 1;
+  };
 
   if (!o.serve_socket.empty()) {
     // Daemon mode: dhpfc --serve=SOCK *is* dhpfd (same loop, same flags).
@@ -413,7 +421,7 @@ int main(int argc, char** argv) {
       std::printf("\n---- compile report ----\n%s", compiled.report.to_string().c_str());
 
     // Every traced producer (compile, verify, model, run) has finished.
-    if (!finish_trace()) return 1;
+    if (!finish_trace()) return finish(1);
 
     if (!o.report_json.empty()) {
       json::Writer w(/*pretty=*/true);
@@ -444,10 +452,9 @@ int main(int argc, char** argv) {
         w.raw(profile_json_doc);
       }
       w.end_object();
-      if (!write_output(o.report_json, w.str() + "\n")) return 1;
+      if (!write_output(o.report_json, w.str() + "\n")) return finish(1);
     }
-
-    if (violations) return 1;
+    return finish(violations ? 1 : 0);
   } catch (const dhpf::Error& e) {
     std::fprintf(stderr, "dhpfc: %s\n", e.what());
     return finish(1);
@@ -455,5 +462,4 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "dhpfc: internal error: %s\n", e.what());
     return finish(1);
   }
-  return 0;
 }

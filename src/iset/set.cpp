@@ -199,10 +199,12 @@ std::string BasicSet::to_string(const std::vector<std::string>& var_names) const
 
 namespace {
 
-/// High-water mark of union fragmentation (parts in any Set an algebra
-/// operation produced or consumed) — the before-picture for the planned
-/// hash-consing/simplification work. Published as a gauge only when the
-/// maximum actually moves, so the hot path stays a relaxed load.
+/// High-water mark of union fragmentation (parts in any Set a union,
+/// intersection or difference produced). Differences split into disjoint
+/// pieces (subtract_disjoint), so a subtracted part no longer multiplies a
+/// union; a change that lets unions grow again shows here first. Published
+/// as a gauge only when the maximum actually moves, so the hot path stays a
+/// relaxed load.
 void note_fragmentation(std::size_t parts) {
   static std::atomic<std::size_t> high{0};
   std::size_t cur = high.load(std::memory_order_relaxed);
@@ -211,6 +213,47 @@ void note_fragmentation(std::size_t parts) {
   }
   if (parts > cur)
     obs::Registry::current().set_gauge("iset.max_fragmentation", static_cast<double>(parts));
+}
+
+/// Appends A - B to `out` as pairwise disjoint pieces: piece i keeps B's
+/// constraints c_1..c_{i-1} and violates c_i, so distinct pieces disagree on
+/// the first constraint they violate. Negating an equality yields its two
+/// (themselves disjoint) strict sides. A constraint whose violation pieces
+/// are all empty is implied by the prefix (is_empty() answers "empty" only
+/// for truly empty sets), so it stays out of the prefix: carrying it would
+/// only make every later piece dearer to test.
+void subtract_disjoint(const BasicSet& a, const BasicSet& b, std::vector<BasicSet>& out) {
+  BasicSet prefix = a;  // a ∩ the constraints before c that were not implied
+  for (const auto& c : b.constraints()) {
+    bool implied = true;
+    auto emit = [&](const LinExpr& violated) {
+      BasicSet piece = prefix;
+      piece.add(Constraint::ge0(violated));
+      if (piece.simplify() && !piece.is_empty()) {
+        out.push_back(std::move(piece));
+        implied = false;
+      }
+    };
+    // ¬(e >= 0) is -e-1 >= 0; ¬(e == 0) is (-e-1 >= 0) ∪ (e-1 >= 0).
+    emit(c.e * -1 - a.expr_const(1) + a.expr_zero());
+    if (c.is_eq) emit(c.e - a.expr_const(1) + a.expr_zero());
+    if (implied) continue;
+    prefix.add(c);
+    if (!prefix.simplify()) break;  // remaining pieces all empty
+  }
+}
+
+/// `pieces` minus parts[0], ..., parts[n-1] in turn, in part order and, within
+/// one split, in the subtracted part's constraint order. Pieces split from
+/// one piece never share a point, so a disjoint list stays disjoint.
+std::vector<BasicSet> minus_parts(std::vector<BasicSet> pieces,
+                                  const std::vector<BasicSet>& parts, std::size_t n) {
+  for (std::size_t j = 0; j < n && !pieces.empty(); ++j) {
+    std::vector<BasicSet> next;
+    for (const auto& piece : pieces) subtract_disjoint(piece, parts[j], next);
+    pieces = std::move(next);
+  }
+  return pieces;
 }
 
 }  // namespace
@@ -275,35 +318,8 @@ Set Set::subtract(const Set& o) const {
     kb = o.rep_id();
     if (auto hit = memo::set_lookup(memo::Op::Subtract, ka, kb)) return *hit;
   }
-  // A - (B1 ∪ B2 ∪ ...) = A ∩ ¬B1 ∩ ¬B2 ∩ ...; each ¬Bi is a union over its
-  // negated constraints (integer-exact: ¬(e >= 0) is -e-1 >= 0).
-  std::vector<BasicSet> acc = parts_;
-  for (const auto& b : o.parts_) {
-    std::vector<BasicSet> next;
-    for (const auto& a : acc) {
-      for (const auto& c : b.constraints()) {
-        if (c.is_eq) {
-          BasicSet lt = a;
-          lt.add(Constraint::ge0(c.e * -1 - lt.expr_const(1) + lt.expr_zero()));
-          if (lt.simplify() && !lt.is_empty()) next.push_back(std::move(lt));
-          BasicSet gt = a;
-          gt.add(Constraint::ge0(c.e - gt.expr_const(1) + gt.expr_zero()));
-          if (gt.simplify() && !gt.is_empty()) next.push_back(std::move(gt));
-        } else {
-          BasicSet neg = a;
-          neg.add(Constraint::ge0(c.e * -1 - neg.expr_const(1) + neg.expr_zero()));
-          if (neg.simplify() && !neg.is_empty()) next.push_back(std::move(neg));
-        }
-      }
-      if (b.constraints().empty()) {
-        // Subtracting the universe annihilates everything.
-      }
-    }
-    acc = std::move(next);
-    if (acc.empty()) break;
-  }
   Set r(nvars_, params_);
-  for (auto& bs : acc) r.parts_.push_back(std::move(bs));
+  r.parts_ = minus_parts(parts_, o.parts_, o.parts_.size());
   note_fragmentation(r.parts_.size());
   if (cache) memo::set_store(memo::Op::Subtract, ka, kb, r);
   return r;
@@ -533,33 +549,6 @@ std::size_t count_basic(const BasicSet& part, const std::vector<i64>& params) {
 
 }  // namespace
 
-namespace {
-
-/// A - B as a *pairwise disjoint* list of BasicSets (Set::subtract's pieces
-/// may overlap, which is fine for emptiness but fatal for counting): piece i
-/// keeps B's constraints c_1..c_{i-1} and violates c_i, so distinct pieces
-/// disagree on the first violated constraint. Negating an equality yields
-/// the two (themselves disjoint) strict sides.
-std::vector<BasicSet> subtract_disjoint(const BasicSet& a, const BasicSet& b) {
-  std::vector<BasicSet> pieces;
-  BasicSet prefix = a;  // a ∩ c_1 ∩ ... ∩ c_{i-1}
-  for (const auto& c : b.constraints()) {
-    auto emit = [&](const LinExpr& violated) {
-      BasicSet piece = prefix;
-      piece.add(Constraint::ge0(violated));
-      if (piece.simplify() && !piece.is_empty()) pieces.push_back(std::move(piece));
-    };
-    // ¬(e >= 0) is -e-1 >= 0; ¬(e == 0) is (-e-1 >= 0) ∪ (e-1 >= 0).
-    emit(c.e * -1 - a.expr_const(1) + a.expr_zero());
-    if (c.is_eq) emit(c.e - a.expr_const(1) + a.expr_zero());
-    prefix.add(c);
-    if (!prefix.simplify()) break;  // remaining pieces all empty
-  }
-  return pieces;
-}
-
-}  // namespace
-
 std::size_t Set::cardinality(const std::vector<i64>& param_values) const {
   require(param_values.size() == params_.size(), "iset", "cardinality: wrong param count");
   DHPF_COUNTER("iset.cardinalities");
@@ -571,19 +560,12 @@ std::size_t Set::cardinality(const std::vector<i64>& param_values) const {
     kp = memo::intern_point(param_values);
     if (auto hit = memo::count_lookup(ks, kp)) return *hit;
   }
-  // Make the union disjoint: piece lists start from each part with every
-  // earlier part subtracted (disjointly), so per-piece counts add up exactly.
+  // Make the union disjoint: each part with every earlier part subtracted,
+  // so per-piece counts add up exactly.
   std::size_t total = 0;
-  for (std::size_t i = 0; i < parts_.size(); ++i) {
-    std::vector<BasicSet> pieces{parts_[i]};
-    for (std::size_t j = 0; j < i && !pieces.empty(); ++j) {
-      std::vector<BasicSet> next;
-      for (const auto& piece : pieces)
-        for (auto& p : subtract_disjoint(piece, parts_[j])) next.push_back(std::move(p));
-      pieces = std::move(next);
-    }
-    for (const auto& piece : pieces) total += count_basic(piece, param_values);
-  }
+  for (std::size_t i = 0; i < parts_.size(); ++i)
+    for (const auto& piece : minus_parts({parts_[i]}, parts_, i))
+      total += count_basic(piece, param_values);
   if (cache) memo::count_store(ks, kp, total);
   return total;
 }

@@ -167,7 +167,12 @@ class Set {
 
   [[nodiscard]] Set unite(const Set& o) const;
   [[nodiscard]] Set intersect(const Set& o) const;
-  /// A - B, via integer-exact constraint negation.
+  /// A - B as disjoint pieces: each part of A minus each part of B in turn,
+  /// where piece i keeps B's constraints c_1..c_{i-1} and violates c_i
+  /// (integer-exact: ¬(e >= 0) is -e-1 >= 0). Constraints the prefix already
+  /// implies are left out of it. Pieces split from one part of A never share
+  /// a point, so a subtracted part cannot multiply the union; parts of A that
+  /// overlap still overlap in the result.
   [[nodiscard]] Set subtract(const Set& o) const;
   [[nodiscard]] Set project_out(std::size_t v) const;
 

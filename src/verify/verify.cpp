@@ -196,17 +196,17 @@ std::optional<std::pair<int, std::vector<i64>>> concrete_witness(const Ctx& ctx,
 }
 
 /// Union-part budget above which the coverage test switches from the
-/// symbolic set difference to exact per-rank enumeration. Subtracting a
-/// heavily fragmented union multiplies complement parts combinatorially;
-/// the enumeration path is exact and exhaustive for the configured grid
-/// (every rank's parameter values are checked), just not symbolic.
+/// symbolic set difference to exact per-rank enumeration. The enumeration
+/// path is exact and exhaustive for the configured grid (every rank's
+/// parameter values are checked), just not symbolic. The combinatorial
+/// blow-up this and the cap below were added for is fixed at its source
+/// (Set::subtract splits into disjoint pieces), so both are a backstop.
 constexpr std::size_t kMaxSymbolicParts = 24;
 
 /// Intermediate-fragmentation cap for the symbolic path: each subtraction
-/// can split every remaining part, so even a small cover union can blow the
-/// difference up combinatorially (time *and* memory). When the running
-/// difference crosses this, the symbolic attempt is abandoned mid-way and
-/// the enumeration path decides instead.
+/// can still split every remaining part where the subtracted part cuts it.
+/// When the running difference crosses this, the symbolic attempt is
+/// abandoned mid-way and the enumeration path decides instead.
 constexpr std::size_t kMaxIntermediateParts = 256;
 
 struct CoverResult {

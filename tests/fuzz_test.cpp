@@ -5,8 +5,9 @@
 // compile + serial interpretation all succeed), campaigns are reproducible
 // byte-for-byte, the minimizer preserves failure signatures and never grows
 // a program, the verifier catches every seeded defect on fuzz-generated
-// plans, and the checked-in regression corpus replays clean under the
-// exhaustive per-reproducer settings.
+// plans, the checked-in regression corpus replays clean under the
+// exhaustive per-reproducer settings, and the known heavy programs stay
+// within a budget of set-algebra work.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -15,15 +16,21 @@
 #include <vector>
 
 #include "codegen/driver.hpp"
+#include "exec/machine.hpp"
 #include "fuzz/campaign.hpp"
 #include "fuzz/diff.hpp"
 #include "fuzz/generator.hpp"
 #include "fuzz/minimize.hpp"
 #include "hpf/parser.hpp"
 #include "hpf/printer.hpp"
+#include "iset/intern.hpp"
+#include "lint/lint.hpp"
+#include "model/model.hpp"
 #include "support/diagnostics.hpp"
+#include "support/metrics.hpp"
 #include "verify/mutate.hpp"
 #include "verify/plan.hpp"
+#include "verify/verify.hpp"
 
 namespace dhpf {
 namespace {
@@ -73,6 +80,32 @@ TEST(FuzzGenerator, EveryProgramIsValid) {
     ASSERT_NO_THROW(codegen::compile_source(c.source, &compiled_prog))
         << "seed " << seed << "\n" << c.source;
     ASSERT_NO_THROW(codegen::interpret_serial(prog)) << "seed " << seed;
+  }
+}
+
+TEST(FuzzGenerator, HeavyProgramsStayWithinEmptinessBudget) {
+  // Programs whose set unions once fragmented into thousands of parts: 395,
+  // 1157 and 1299 ran 132,067 / 235,410 / 1,999,490 emptiness tests, and the
+  // last one exhausted memory. Each gets `dhpfc --lint --verify
+  // --model-report`'s work from cold set caches; a count of emptiness tests,
+  // not a clock, pins the cost.
+  for (const std::uint64_t seed : {395ull, 1157ull, 1299ull, 7262382532146335171ull}) {
+    SCOPED_TRACE(testing::Message() << "seed=" << seed);
+    const fuzz::GeneratedCase c = fuzz::generate(seed);
+    iset::memo::clear_caches();
+    obs::Registry reg;
+    {
+      obs::ScopedRegistry scope(reg);
+      ASSERT_NO_THROW({
+        hpf::Program prog;
+        const codegen::CompileResult compiled = codegen::compile_source(c.source, &prog);
+        (void)lint::run(prog);
+        (void)verify::check(verify::bind(prog, compiled.cps, compiled.plan));
+        (void)model::predict(prog, compiled.cps, compiled.plan, exec::Machine::sp2());
+      });
+    }
+    // Stop at the first program over budget, before the memory-hungry one.
+    ASSERT_LE(reg.snapshot().counters["iset.emptiness_tests"], 60000u);
   }
 }
 

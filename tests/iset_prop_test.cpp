@@ -5,6 +5,8 @@
 //    over a bounding box, difference = intersect-with-complement,
 //    image/preimage adjunction, cardinality additivity on disjoint
 //    unions. These hold for ANY correct implementation, cached or not.
+//    One more pins this implementation's difference: its pieces are
+//    pairwise disjoint.
 //
 //  * Bitwise differential against the pre-optimization reference path:
 //    the same operation chain is evaluated with memoization on (twice, so
@@ -187,6 +189,31 @@ TEST(IsetProp, CardinalityAdditiveOnDisjointUnions) {
     // cardinality() never materializes points; enumerate() does. Agree.
     ASSERT_EQ(ca, points_of(a).size());
     ASSERT_EQ(cd, d.count({}));
+  }
+}
+
+TEST(IsetProp, DifferencePartsArePairwiseDisjoint) {
+  // Each piece of A - C keeps C's earlier constraints and violates the next,
+  // so pieces split from one polyhedron never share a point and their
+  // counts add up. A box minus an inner box is the case where negating each
+  // constraint on its own would overlap at the corners.
+  for (std::uint64_t seed = 1; seed <= 250; ++seed) {
+    SCOPED_TRACE(testing::Message() << "seed=" << seed);
+    Gen g(seed * 49979687);
+    const std::size_t r = rank_for(seed);
+    const Set c = g.set(r);
+    for (const Set& a : {g.box(r), Set(g.basic(r, 0))}) {
+      const Set diff = a.subtract(c);
+      PointSet seen;
+      std::size_t sum = 0;
+      for (const BasicSet& part : diff.parts()) {
+        const PointSet pts = points_of(Set(part));
+        for (const auto& p : pts) ASSERT_TRUE(seen.insert(p).second) << "point in two parts";
+        sum += pts.size();
+      }
+      ASSERT_EQ(sum, points_of(diff).size());
+      ASSERT_EQ(sum, diff.cardinality({}));
+    }
   }
 }
 
